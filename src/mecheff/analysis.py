@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ALPHA, GFamily, ValueDistribution, reserve_price
+from .distributions import ALPHA, GFamily, ValueDistribution, cdf_left, reserve_price
 from .errors import DegenerateConditioning, DomainError, SearchExhausted
 from .numerics import adaptive_simpson
 
@@ -138,8 +138,7 @@ def loss_numeric(dist: ValueDistribution, k: int, method: str = "cdf") -> float:
     if k < 1:
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
-    mass_at_r = sum(m for loc, m in dist.atoms if abs(loc - r) <= 1e-12 * max(1.0, r))
-    phi = float(dist.cdf(r)) - mass_at_r  # P(value < r), left limit at the reserve
+    phi = cdf_left(dist, r)
     if phi < 1e-12:
         raise DegenerateConditioning(f"cdf({r}) = {phi}; no mass below the reserve")
     breaks = [loc for loc, _ in dist.atoms if 0.0 < loc < r]

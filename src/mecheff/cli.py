@@ -2,10 +2,11 @@
 
 Each experiment writes a CSV of per-k rows and a JSON summary embedding the
 resolved parameters, and exits 0 when every asserted inequality holds, 1
-when any fails, 2 on configuration errors. Column order per experiment is
-fixed so golden-file comparisons stay stable; floats are printed with 17
-significant digits and identical (config, seed) runs produce byte-identical
-output regardless of the thread cap (MECH_EFF_THREADS).
+when any fails, 2 on configuration errors. The columns are the keys of an
+experiment's row records, in a fixed order so golden-file comparisons stay
+stable; floats are printed with 17 significant digits and identical
+(config, seed) runs produce byte-identical output regardless of the thread
+cap (MECH_EFF_THREADS).
 """
 
 from __future__ import annotations
@@ -15,31 +16,20 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, simulate
 from .distributions import (
     ALPHA,
     PFamily,
+    cdf_left,
     from_spec,
     mhr_check,
     reserve_price,
     virtual_value,
 )
 from .errors import DegenerateConditioning, MechEffError
-
-EXPERIMENTS = (
-    "reserve",
-    "gainloss",
-    "bounds",
-    "thm1",
-    "thm2",
-    "thm3",
-    "regular_cx",
-    "ratio",
-    "bk",
-)
 
 _DEFAULT_DIST = {"family": "exponential", "rate": 1.0}
 # The strict-shortfall experiment is about the extremal family.
@@ -144,7 +134,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(columns, rows) -> str:
+def _rows_to_csv(rows) -> str:
+    columns = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow(columns)
@@ -161,14 +152,9 @@ def _resolve_m(cfg: ExperimentConfig, k: int) -> int:
     return int(cfg.m)  # type: ignore[arg-type]
 
 
-def _phi_at_reserve(dist):
-    r = reserve_price(dist)
-    mass_at_r = sum(m for loc, m in dist.atoms if abs(loc - r) <= 1e-12 * max(1.0, r))
-    return r, float(dist.cdf(r)) - mass_at_r
-
-
 # --- experiment runners ------------------------------------------------------
-# Each returns (columns, rows, passed, extra_params).
+# Each returns (rows, passed, extra_params); every row is a dict whose keys
+# are the CSV columns, in order.
 
 
 def _run_reserve(cfg):
@@ -176,12 +162,13 @@ def _run_reserve(cfg):
     r = reserve_price(dist)
     print(repr(float(r)))
     rows = [{"dist": json.dumps(cfg.distribution, sort_keys=True), "reserve": float(r)}]
-    return ["dist", "reserve"], rows, True, {}
+    return rows, True, {}
 
 
 def _run_gainloss(cfg):
     dist = from_spec(cfg.distribution)
-    r, phi = _phi_at_reserve(dist)
+    r = reserve_price(dist)
+    phi = cdf_left(dist, r)
     rows, ok = [], True
     for k in cfg.k:
         m = _resolve_m(cfg, k)
@@ -206,8 +193,7 @@ def _run_gainloss(cfg):
                 "pass": row_ok,
             }
         )
-    cols = ["k", "m", "phi", "r", "gain", "loss", "loss_extremal", "diff", "pass"]
-    return cols, rows, ok, {"phi": phi, "r": r}
+    return rows, ok, {"phi": phi, "r": r}
 
 
 def _run_bounds(cfg):
@@ -216,7 +202,7 @@ def _run_bounds(cfg):
         mu, ml = analysis.upper_bound_m(k), analysis.lower_bound_m(k)
         ok &= ml <= mu
         rows.append({"k": k, "m_upper": mu, "m_lower": ml})
-    return ["k", "m_upper", "m_lower"], rows, ok, {}
+    return rows, ok, {}
 
 
 def _paired_rows(cfg, dist, t, extra_of_k, row_check):
@@ -236,27 +222,14 @@ def _paired_rows(cfg, dist, t, extra_of_k, row_check):
                 "n_trials": cfg.n_trials,
                 "diff_mean": pc.diff_mean,
                 "diff_std_err": pc.diff_std_err,
-                "eff_ema_mean": pc.eff_ema.mean,
-                "eff_ema_std_err": pc.eff_ema.std_err,
-                "eff_rma_mean": pc.eff_rma.mean,
-                "eff_rma_std_err": pc.eff_rma.std_err,
+                "eff_ema_mean": pc.ema.mean,
+                "eff_ema_std_err": pc.ema.std_err,
+                "eff_rma_mean": pc.rma.mean,
+                "eff_rma_std_err": pc.rma.std_err,
                 "pass": row_ok,
             }
         )
-    cols = [
-        "k",
-        "t",
-        "extra",
-        "n_trials",
-        "diff_mean",
-        "diff_std_err",
-        "eff_ema_mean",
-        "eff_ema_std_err",
-        "eff_rma_mean",
-        "eff_rma_std_err",
-        "pass",
-    ]
-    return cols, rows, ok, {"extra_by_k": resolved}
+    return rows, ok, {"extra_by_k": resolved}
 
 
 def _run_thm1(cfg):
@@ -283,7 +256,8 @@ def _run_thm2(cfg):
 
 def _run_thm3(cfg):
     dist = from_spec(cfg.distribution)
-    r, phi = _phi_at_reserve(dist)
+    r = reserve_price(dist)
+    phi = cdf_left(dist, r)
     eps_slack = 0.1
     rows, ok = [], True
     for k in cfg.k:
@@ -310,20 +284,7 @@ def _run_thm3(cfg):
                 "pass": analytic_ok and sim_ok,
             }
         )
-    cols = [
-        "k",
-        "t",
-        "m",
-        "s",
-        "extra",
-        "gain_exact",
-        "gain_floor",
-        "analytic_pass",
-        "diff_mean",
-        "diff_std_err",
-        "pass",
-    ]
-    return cols, rows, ok, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
+    return rows, ok, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
 
 
 def _run_regular_cx(cfg):
@@ -356,8 +317,7 @@ def _run_regular_cx(cfg):
                     "pass": row_ok,
                 }
             )
-    cols = ["k", "m", "eps_star", "loss", "gain", "margin", "regular_ok", "mhr_violated", "pass"]
-    return cols, rows, ok, {"r": r, "margin_target": margin_target}
+    return rows, ok, {"r": r, "margin_target": margin_target}
 
 
 def _run_ratio(cfg):
@@ -384,8 +344,7 @@ def _run_ratio(cfg):
                 "pass": row_ok,
             }
         )
-    cols = ["k", "eff_ratio", "eff_floor", "eff_std_err", "rev_ratio", "rev_floor", "rev_std_err", "pass"]
-    return cols, rows, ok, {}
+    return rows, ok, {}
 
 
 def _run_bk(cfg):
@@ -400,13 +359,12 @@ def _run_bk(cfg):
                 "k": k,
                 "diff_mean": pc.diff_mean,
                 "diff_std_err": pc.diff_std_err,
-                "rev_ema_mean": pc.eff_ema.mean,
-                "rev_rma_mean": pc.eff_rma.mean,
+                "rev_ema_mean": pc.ema.mean,
+                "rev_rma_mean": pc.rma.mean,
                 "pass": row_ok,
             }
         )
-    cols = ["k", "diff_mean", "diff_std_err", "rev_ema_mean", "rev_rma_mean", "pass"]
-    return cols, rows, ok, {}
+    return rows, ok, {}
 
 
 _RUNNERS = {
@@ -420,16 +378,19 @@ _RUNNERS = {
     "ratio": _run_ratio,
     "bk": _run_bk,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; write reports; return the exit status."""
     try:
-        columns, rows, passed, extra_params = _RUNNERS[cfg.experiment](cfg)
-    except (MechEffError, ValueError, KeyError) as exc:
+        if not cfg.k:  # an experiment without rows has no columns to report
+            raise ConfigError("k range must be nonempty")
+        rows, passed, extra_params = _RUNNERS[cfg.experiment](cfg)
+    except (ConfigError, MechEffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    csv_text = _rows_to_csv(columns, rows)
+    csv_text = _rows_to_csv(rows)
     summary = {
         "experiment": cfg.experiment,
         "pass": bool(passed),
@@ -442,7 +403,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             "seed": cfg.seed,
             **extra_params,
         },
-        "rows": [{c: row[c] for c in columns} for row in rows],
+        "rows": rows,
     }
     if cfg.output_path:
         prefix = Path(cfg.output_path)
@@ -492,7 +453,7 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {"experiment", "distribution", "k", "t", "m", "n_trials", "seed", "output_path"}
+        known = {f.name for f in fields(ExperimentConfig)}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -535,8 +496,6 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("t must be at least 1")
     if cfg.n_trials < 1:
         raise ConfigError("n_trials must be at least 1")
-    if not cfg.k:
-        raise ConfigError("k range must be nonempty")
     from_spec(cfg.distribution)  # validate early; raises on bad records
     return cfg
 

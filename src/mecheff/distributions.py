@@ -344,6 +344,12 @@ def reserve_price(dist: ValueDistribution) -> float:
     return bisect(excess, lo, hi, width=1e-12)
 
 
+def cdf_left(dist: ValueDistribution, x: float) -> float:
+    """F(x-) = P(value < x): cdf(x) minus any atom located at x."""
+    mass_at_x = sum(m for loc, m in dist.atoms if abs(loc - x) <= 1e-12 * max(1.0, x))
+    return float(dist.cdf(x)) - mass_at_x
+
+
 def virtual_value(dist: ValueDistribution, x):
     """Value adjusted by inverse hazard: x - 1/hazard(x).
 

@@ -5,13 +5,19 @@ draws k+extra values, the efficiency-maximizing auction sees the first k
 and the reserve-price auction sees them all, so the difference estimator
 inherits the positive correlation of the shared draws.
 
+Both mechanisms read the same two order statistics of a value matrix: the
+t highest values and the (t+1)-th highest. `_select` takes them with one
+partition per matrix, and `_ema_stats`/`_rma_stats` turn that pair into
+per-trial efficiency and revenue; `auctions.ema`/`auctions.rma` are the
+per-bid reference the tests hold them to.
+
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
 counter b << 192 under the run's seed. Every trial's draws are therefore a
 pure function of (seed, trial index), and partial sums are merged in batch
 order, so results are bitwise identical for any worker count. The
 MECH_EFF_THREADS environment variable caps the thread pool; absent, the
-machine default applies.
+pool has one thread per CPU in the process's affinity mask, at most 8.
 """
 
 from __future__ import annotations
@@ -52,16 +58,15 @@ class MechanismEstimate:
 class PairedEstimate:
     """Difference of two coupled estimates plus both marginals.
 
-    For paired_compare the difference is eff_rma - eff_ema; for
-    revenue_compare_bk it is the one-extra-bidder orientation
-    Rev(EMA(k+1)) - Rev(RMA(k)), with the marginal estimates stored in the
-    correspondingly named fields.
+    `ema` and `rma` hold the marginal of each mechanism; whether that is
+    efficiency or revenue, and which way the difference runs, is stated
+    by the function that returns the estimate.
     """
 
     diff_mean: float
     diff_std_err: float
-    eff_ema: Estimate
-    eff_rma: Estimate
+    ema: Estimate
+    rma: Estimate
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ def _resolve_threads(threads):
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"MECH_EFF_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
 
 
@@ -141,42 +148,39 @@ def _cov(s1, s2, n, i, j) -> float:
     return float((s2[i, j] - s1[i] * s1[j] / n) / (n - 1))
 
 
-def _kth_highest(values, j):
+def _paired(s1, s2, n, seed, a) -> PairedEstimate:
+    """Paired estimate of stat a minus stat 1-a; stat 0 is EMA's, stat 1 RMA's."""
+    b = 1 - a
+    diff_mean = (s1[a] - s1[b]) / n
+    sum_d2 = s2[a, a] + s2[b, b] - 2.0 * s2[0, 1]
+    var_d = (sum_d2 - n * diff_mean * diff_mean) / (n - 1) if n > 1 else 0.0
+    return PairedEstimate(
+        diff_mean=float(diff_mean),
+        diff_std_err=math.sqrt(max(0.0, var_d) / n),
+        ema=_estimate(s1[0], s2[0, 0], n, seed),
+        rma=_estimate(s1[1], s2[1, 1], n, seed),
+    )
+
+
+def _select(values, t):
+    """The t highest values per row and the (t+1)-th highest (0 if n <= t)."""
     n = values.shape[1]
-    return np.partition(values, n - j, axis=1)[:, n - j]
+    if n <= t:
+        return values, np.zeros(values.shape[0])
+    part = np.partition(values, n - t - 1, axis=1)
+    return part[:, n - t :], part[:, n - t - 1]
 
 
-def _top_t(values, t):
-    n = values.shape[1]
-    if t >= n:
-        return values
-    return np.partition(values, n - t, axis=1)[:, n - t :]
+def _ema_stats(top, runner_up):
+    # every top bidder wins and pays the runner-up
+    return top.sum(axis=1), top.shape[1] * runner_up
 
 
-def _ema_stats(values, t):
-    n = values.shape[1]
-    if t == 1 and n > 1:
-        eff = values.max(axis=1)
-    else:
-        eff = _top_t(values, t).sum(axis=1)
-    if n > t:
-        rev = t * _kth_highest(values, t + 1)
-    else:
-        rev = np.zeros(values.shape[0])
-    return eff, rev
-
-
-def _rma_stats(values, t, reserve):
-    n = values.shape[1]
-    top = _top_t(values, t)
+def _rma_stats(top, runner_up, reserve):
+    # top bidders at or above the reserve win and pay max(reserve, runner-up)
     cleared = top >= reserve
     eff = np.where(cleared, top, 0.0).sum(axis=1)
-    n_win = cleared.sum(axis=1)
-    if n > t:
-        price = np.maximum(reserve, _kth_highest(values, t + 1))
-    else:
-        price = np.full(values.shape[0], reserve)
-    return eff, n_win * price
+    return eff, cleared.sum(axis=1) * np.maximum(reserve, runner_up)
 
 
 def estimate_mechanism(
@@ -198,12 +202,12 @@ def estimate_mechanism(
         r = reserve_price(dist)
 
         def stat_fn(v):
-            return _rma_stats(v, t, r)
+            return _rma_stats(*_select(v, t), r)
 
     else:
 
         def stat_fn(v):
-            return _ema_stats(v, t)
+            return _ema_stats(*_select(v, t))
 
     s1, s2 = _moment_scan(dist, n_bidders, n_trials, seed, stat_fn, threads)
     return MechanismEstimate(
@@ -225,28 +229,20 @@ def paired_compare(
 
     diff_mean estimates Eff(RMA(k+extra)) - Eff(EMA(k)) on common draws;
     its standard error uses the per-trial differences directly, so the
-    shared randomness cancels instead of inflating the noise.
+    shared randomness cancels instead of inflating the noise. `ema` and
+    `rma` hold the two efficiency marginals.
     """
     if k < 1 or extra < 0 or t < 1:
         raise ValueError("need k >= 1, extra >= 0, t >= 1")
     r = reserve_price(dist)
 
     def stat_fn(v):
-        eff_e, _ = _ema_stats(v[:, :k], t)
-        eff_r, _ = _rma_stats(v, t, r)
+        eff_e, _ = _ema_stats(*_select(v[:, :k], t))
+        eff_r, _ = _rma_stats(*_select(v, t), r)
         return eff_e, eff_r
 
-    n = n_trials
-    s1, s2 = _moment_scan(dist, k + extra, n, seed, stat_fn, threads)
-    diff_mean = (s1[1] - s1[0]) / n
-    sum_d2 = s2[1, 1] + s2[0, 0] - 2.0 * s2[0, 1]
-    var_d = (sum_d2 - n * diff_mean * diff_mean) / (n - 1) if n > 1 else 0.0
-    return PairedEstimate(
-        diff_mean=float(diff_mean),
-        diff_std_err=math.sqrt(max(0.0, var_d) / n),
-        eff_ema=_estimate(s1[0], s2[0, 0], n, seed),
-        eff_rma=_estimate(s1[1], s2[1, 1], n, seed),
-    )
+    s1, s2 = _moment_scan(dist, k + extra, n_trials, seed, stat_fn, threads)
+    return _paired(s1, s2, n_trials, seed, a=1)
 
 
 def revenue_compare_bk(
@@ -260,28 +256,19 @@ def revenue_compare_bk(
 
     One extra bidder for the efficiency-maximizing auction is expected to
     recover at least the reserve-price auction's revenue for regular value
-    distributions.
+    distributions. `ema` and `rma` hold the two revenue marginals.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
 
     def stat_fn(v):
-        _, rev_e = _ema_stats(v, 1)
-        _, rev_r = _rma_stats(v[:, :k], 1, r)
+        _, rev_e = _ema_stats(*_select(v, 1))
+        _, rev_r = _rma_stats(*_select(v[:, :k], 1), r)
         return rev_e, rev_r
 
-    n = n_trials
-    s1, s2 = _moment_scan(dist, k + 1, n, seed, stat_fn, threads)
-    diff_mean = (s1[0] - s1[1]) / n
-    sum_d2 = s2[0, 0] + s2[1, 1] - 2.0 * s2[0, 1]
-    var_d = (sum_d2 - n * diff_mean * diff_mean) / (n - 1) if n > 1 else 0.0
-    return PairedEstimate(
-        diff_mean=float(diff_mean),
-        diff_std_err=math.sqrt(max(0.0, var_d) / n),
-        eff_ema=_estimate(s1[0], s2[0, 0], n, seed),
-        eff_rma=_estimate(s1[1], s2[1, 1], n, seed),
-    )
+    s1, s2 = _moment_scan(dist, k + 1, n_trials, seed, stat_fn, threads)
+    return _paired(s1, s2, n_trials, seed, a=0)
 
 
 def efficiency_ratio(
@@ -302,8 +289,9 @@ def efficiency_ratio(
     r = reserve_price(dist)
 
     def stat_fn(v):
-        eff_e, rev_e = _ema_stats(v, 1)
-        eff_r, rev_r = _rma_stats(v, 1, r)
+        top, runner_up = _select(v, 1)
+        eff_e, rev_e = _ema_stats(top, runner_up)
+        eff_r, rev_r = _rma_stats(top, runner_up, r)
         return eff_e, eff_r, rev_e, rev_r
 
     n = n_trials

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mecheff import cli
 from mecheff.cli import main, parse_dist_arg
 
 
@@ -133,6 +134,22 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["thm1", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"experiment": "thm1"}))
     assert main(["thm2", "--config", str(cfg)]) == 2  # conflicting experiment
+
+
+def test_run_time_config_error_exits_2():
+    # the m range of regular_cx is parsed when the experiment runs
+    assert main(["regular_cx", "--k", "1", "--m", "5..1"]) == 2
+    assert main(["bounds", "--k", ","]) == 2
+    assert cli.run_experiment(cli.ExperimentConfig("bounds", k=[])) == 2
+
+
+def test_internal_key_error_propagates(monkeypatch):
+    def broken(cfg):
+        raise KeyError("missing internal column")
+
+    monkeypatch.setitem(cli._RUNNERS, "bounds", broken)
+    with pytest.raises(KeyError):
+        main(["bounds", "--k", "1"])
 
 
 def test_unknown_subcommand_exits_2():

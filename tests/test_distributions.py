@@ -12,6 +12,7 @@ from mecheff.distributions import (
     PFamily,
     Uniform,
     ValueDistribution,
+    cdf_left,
     domination_check,
     from_spec,
     lemma1_check,
@@ -360,3 +361,12 @@ def test_from_spec_rejects_garbage():
         from_spec({"rate": 1.0})
     with pytest.raises(ValueError):
         from_spec({"family": "g", "phi": 0.5})
+
+
+def test_cdf_left_removes_atom_at_point():
+    p = PFamily(eps=0.5, r=1.0)
+    assert cdf_left(p, 1.0) == pytest.approx(1.0 / 1.5, rel=1e-15)
+    assert p.cdf(1.0) == 1.0
+    assert cdf_left(p, 0.5) == p.cdf(0.5)  # no atom there
+    e = Exponential(rate=1.0)
+    assert cdf_left(e, 1.0) == e.cdf(1.0)

@@ -1,11 +1,19 @@
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mecheff import auctions, simulate
 from mecheff.analysis import ALPHA, lower_bound_m, upper_bound_m
-from mecheff.distributions import Exponential, GFamily, Uniform
+from mecheff.distributions import Exponential, GFamily, PFamily, Uniform
 from mecheff.errors import NoRoot
 from mecheff.simulate import (
+    _ema_stats,
+    _rma_stats,
+    _select,
     efficiency_ratio,
     estimate_mechanism,
     paired_compare,
@@ -85,7 +93,7 @@ def test_paired_compare_nothing_excluded():
 
 def test_paired_estimate_orientation():
     pc = paired_compare(Exponential(1.0), 2, 2, 1, 50_000, seed=9)
-    assert pc.diff_mean == pytest.approx(pc.eff_rma.mean - pc.eff_ema.mean, rel=1e-12, abs=1e-15)
+    assert pc.diff_mean == pytest.approx(pc.rma.mean - pc.ema.mean, rel=1e-12, abs=1e-15)
 
 
 def test_paired_compare_insufficient_extras_strictly_worse():
@@ -112,14 +120,14 @@ def test_crn_reduces_difference_noise():
         (GFamily(phi=ALPHA, r=1.0, eps=1e-6), 3, 1),
     ]:
         pc = paired_compare(dist, k, extra, 1, 100_000, seed=55)
-        assert pc.diff_std_err <= max(pc.eff_ema.std_err, pc.eff_rma.std_err)
+        assert pc.diff_std_err <= max(pc.ema.std_err, pc.rma.std_err)
 
 
 def test_revenue_compare_bk_uniform_exact_values():
     # Rev(EMA(2)) = E[min of 2] = 1/3; Rev(RMA(1)) = 0.5*P(v >= 0.5) = 1/4
     pc = revenue_compare_bk(Uniform(hi=1.0), 1, 500_000, seed=31)
-    assert abs(pc.eff_ema.mean - 1.0 / 3.0) < 4.0 * pc.eff_ema.std_err
-    assert abs(pc.eff_rma.mean - 1.0 / 4.0) < 4.0 * pc.eff_rma.std_err
+    assert abs(pc.ema.mean - 1.0 / 3.0) < 4.0 * pc.ema.std_err
+    assert abs(pc.rma.mean - 1.0 / 4.0) < 4.0 * pc.rma.std_err
     assert abs(pc.diff_mean - 1.0 / 12.0) < 4.0 * pc.diff_std_err
 
 
@@ -169,3 +177,50 @@ def test_multi_item_paired_compare():
     m = upper_bound_m(k)
     pc = paired_compare(Exponential(1.0), k, 2 * m, 2, 200_000, seed=61)
     assert pc.diff_mean >= -3.0 * pc.diff_std_err
+
+
+@st.composite
+def tie_heavy_batch(draw):
+    """(values, t, reserve): rows of n bids on a 0.1 grid, or P-family draws
+    whose atom at the reserve carries a third to a half of the mass."""
+    n, t, rows = draw(st.integers(1, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        grid = st.lists(st.integers(0, 20), min_size=n, max_size=n)
+        values = np.array(draw(st.lists(grid, min_size=rows, max_size=rows))) / 10.0
+        return values, t, draw(st.integers(1, 20)) / 10.0
+    dist = PFamily(eps=draw(st.sampled_from([0.5, 1.0])), r=1.0)
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    u = draw(st.lists(st.lists(unit, min_size=n, max_size=n), min_size=rows, max_size=rows))
+    return dist.quantile(np.array(u)), t, dist.r
+
+
+@given(tie_heavy_batch())
+@settings(max_examples=300, deadline=None)
+def test_batched_stats_match_per_bid_auctions(batch):
+    values, t, reserve = batch
+    top, runner_up = _select(values, t)
+    eff_e, rev_e = _ema_stats(top, runner_up)
+    eff_r, rev_r = _rma_stats(top, runner_up, reserve)
+
+    def same(batched, scalar):
+        # up to two summands add in any order exactly; longer sums may not
+        return batched == scalar if t <= 2 else batched == pytest.approx(scalar, rel=1e-12)
+
+    for i, bids in enumerate(values.tolist()):
+        e, r = auctions.ema(bids, t), auctions.rma(bids, t, reserve)
+        assert same(eff_e[i], e.efficiency) and rev_e[i] == e.revenue
+        assert same(eff_r[i], r.efficiency) and rev_r[i] == r.revenue
+
+
+def test_default_threads_follow_affinity(monkeypatch):
+    monkeypatch.delenv("MECH_EFF_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert simulate._resolve_threads(None) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
+    assert simulate._resolve_threads(None) == 8
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert simulate._resolve_threads(None) == 5
+    monkeypatch.setenv("MECH_EFF_THREADS", "2")
+    assert simulate._resolve_threads(None) == 2
