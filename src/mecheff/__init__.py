@@ -6,11 +6,7 @@ implementations and a seeded Monte Carlo engine for verifying them.
 
 from .analysis import (
     ALPHA,
-    BoundSet,
-    GainLossReport,
-    bound_set,
     gain,
-    gain_loss_report,
     gain_minus_loss_g,
     loss_closed_form_g,
     loss_numeric,

@@ -28,29 +28,24 @@ whose terms are single-signed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ALPHA, GFamily, ValueDistribution, cdf_left, reserve_price
+from .distributions import ALPHA, GFamily, ValueDistribution, cdf_left, check_phi, reserve_price
 from .errors import DegenerateConditioning, DomainError, SearchExhausted
 from .numerics import adaptive_simpson
 
 __all__ = [
     "ALPHA",
-    "GainLossReport",
-    "BoundSet",
     "order_stat_cdf",
     "loss_numeric",
     "loss_closed_form_g",
     "gain",
     "gain_minus_loss_g",
-    "gain_loss_report",
     "q_poly",
     "q_prime",
     "upper_bound_m",
     "lower_bound_m",
-    "bound_set",
     "multi_item_s",
     "multi_gain_exact",
     "loss_p_unconditional",
@@ -58,40 +53,6 @@ __all__ = [
 ]
 
 _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
-
-
-@dataclass(frozen=True)
-class GainLossReport:
-    """Analytic gain, loss and their difference for one (phi, r, k, m)."""
-
-    k: int
-    m: int
-    phi: float
-    r: float
-    gain: float
-    loss: float
-    diff: float
-
-
-@dataclass(frozen=True)
-class BoundSet:
-    """Extra-bidder counts: sufficient m, insufficient m, multi-item s."""
-
-    k: int
-    t: int
-    m_upper: int
-    m_lower: int
-    s_multi: int
-    epsilon_slack: float
-
-
-def _check_phi(phi: float, lo_open: bool) -> float:
-    hi = ALPHA + 1e-12
-    if lo_open and not (0.0 < phi <= hi):
-        raise DomainError(f"phi must lie in (0, 1-1/e], got {phi}")
-    if not lo_open and not (0.0 <= phi <= hi):
-        raise DomainError(f"phi must lie in [0, 1-1/e], got {phi}")
-    return min(phi, ALPHA)
 
 
 def _tail_series(x, k: int):
@@ -171,7 +132,7 @@ def loss_closed_form_g(phi: float, r: float, k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    phi = _check_phi(phi, lo_open=True)
+    phi = check_phi(phi, lo_open=True)
     return r * (1.0 - _tail_series(phi, k))
 
 
@@ -187,15 +148,8 @@ def gain_minus_loss_g(phi: float, r: float, k: int, m: int) -> float:
     r*(S(phi, k) - phi^m). Negative exactly where extra bidders fall short."""
     if k < 1 or m < 1:
         raise ValueError("k and m must be at least 1")
-    phi = _check_phi(phi, lo_open=True)
+    phi = check_phi(phi, lo_open=True)
     return r * (_tail_series(phi, k) - phi**m)
-
-
-def gain_loss_report(phi: float, r: float, k: int, m: int) -> GainLossReport:
-    """Bundle gain, loss and diff for the extremal (phi, r) class."""
-    g = gain(phi, r, m)
-    loss = loss_closed_form_g(phi, r, k)
-    return GainLossReport(k=k, m=m, phi=phi, r=r, gain=g, loss=loss, diff=g - loss)
 
 
 def q_poly(x, k: int, m: int):
@@ -256,19 +210,6 @@ def multi_item_s(t: int, m: int, epsilon_slack: float) -> int:
     return math.ceil(t + (1.0 + epsilon_slack) * t * math.log(m) + math.log(t))
 
 
-def bound_set(k: int, t: int = 1, epsilon_slack: float = 0.1) -> BoundSet:
-    """All bidder-count bounds for one k (and item count t)."""
-    m_up = upper_bound_m(k)
-    return BoundSet(
-        k=k,
-        t=t,
-        m_upper=m_up,
-        m_lower=lower_bound_m(k),
-        s_multi=multi_item_s(t, m_up, epsilon_slack),
-        epsilon_slack=epsilon_slack,
-    )
-
-
 def multi_gain_exact(phi: float, r: float, m: int, s: int, t_res: int) -> float:
     """Expected reserve-floored contribution of m+s extra bidders to t_res
     residual items: r*(t_res - sum_{j<t_res} a_j*(t_res-j)) with binomial
@@ -278,7 +219,7 @@ def multi_gain_exact(phi: float, r: float, m: int, s: int, t_res: int) -> float:
     """
     if m < 1 or s < 1 or t_res < 1:
         raise ValueError("m, s and t_res must be at least 1")
-    phi = _check_phi(phi, lo_open=False)
+    phi = check_phi(phi)
     n = m + s
     shortfall = 0.0
     for j in range(t_res):

@@ -16,12 +16,13 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import analysis, simulate
 from .distributions import (
     ALPHA,
+    FAMILIES,
     PFamily,
     cdf_left,
     from_spec,
@@ -49,18 +50,6 @@ _DEFAULT_K = {
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    distribution: dict = field(default_factory=lambda: dict(_DEFAULT_DIST))
-    k: list[int] = field(default_factory=lambda: [5])
-    t: int = 1
-    m: object = "auto"  # int, "auto", or a..b range (regular_cx)
-    n_trials: int = 1_000_000
-    seed: int = 12345
-    output_path: str | None = None
 
 
 def _parse_int_range(value, what):
@@ -94,7 +83,14 @@ def _parse_int_range(value, what):
 
 
 def parse_dist_arg(text: str) -> dict:
-    """Inline JSON record or the compact colon form, e.g. 'exponential:1'."""
+    """Inline JSON record or the compact colon form, e.g. 'exponential:1'.
+
+    The numbers after the family tag fill the family's fields in declaration
+    order; when fewer are given, leading fields with a default are skipped
+    first (so a lone `uniform` argument is `hi`). Fields with a float default
+    are always written out, so `exponential` is `{"rate": 1.0}`, while `g`'s
+    `eps` appears only when given.
+    """
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -102,28 +98,71 @@ def parse_dist_arg(text: str) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad distribution JSON: {exc}") from exc
     family, _, rest = text.partition(":")
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown distribution family {family!r}")
     try:
         nums = [float(p) for p in rest.split(":")] if rest else []
     except ValueError:
         raise ConfigError(f"bad distribution argument {text!r}") from None
-    if family == "exponential":
-        return {"family": "exponential", "rate": nums[0] if nums else 1.0}
-    if family == "uniform":
-        if len(nums) >= 2:
-            return {"family": "uniform", "lo": nums[0], "hi": nums[1]}
-        return {"family": "uniform", "lo": 0.0, "hi": nums[0] if nums else 1.0}
-    if family == "g":
-        if len(nums) < 2:
-            raise ConfigError("g family needs phi:r[:eps]")
-        rec = {"family": "g", "phi": nums[0], "r": nums[1]}
-        if len(nums) > 2:
-            rec["eps"] = nums[2]
-        return rec
-    if family == "p":
-        if len(nums) < 2:
-            raise ConfigError("p family needs eps:r")
-        return {"family": "p", "eps": nums[0], "r": nums[1]}
-    raise ConfigError(f"unknown distribution family {family!r}")
+    params = fields(FAMILIES[family])
+    if len(nums) > len(params):
+        raise ConfigError(f"{family} takes at most {len(params)} arguments, got {text!r}")
+    skip = 0
+    while len(params) - skip > len(nums) and params[skip].default is not MISSING:
+        skip += 1
+    given = dict(zip((f.name for f in params[skip:]), nums))
+    record = {"family": family}
+    for f in params:
+        if f.name in given or isinstance(f.default, float):
+            record[f.name] = given.get(f.name, f.default)
+    return record
+
+
+def _parse_distribution(value) -> dict:
+    return dict(value) if isinstance(value, dict) else parse_dist_arg(str(value))
+
+
+def _parse_m(value):
+    """'auto', a range or a list stays as given (regular_cx parses it); else an int."""
+    text = str(value)
+    if isinstance(value, list) or text == "auto" or ".." in text or "," in text:
+        return value
+    return int(value)
+
+
+def _option(flag, parse, help, **default):
+    """A config field that the config file and `flag` both set through `parse`."""
+    return field(metadata={"flag": flag, "parse": parse, "help": help}, **default)
+
+
+@dataclass
+class ExperimentConfig:
+    """One run. Every field but `experiment` is set from its default, then a
+    config file, then its flag, each through the field's `parse`."""
+
+    experiment: str
+    distribution: dict = _option(
+        "--dist",
+        _parse_distribution,
+        "distribution: JSON record or family:args",
+        default_factory=lambda: dict(_DEFAULT_DIST),
+    )
+    k: list[int] = _option(
+        "--k",
+        lambda v: _parse_int_range(v, "k"),
+        "bidder count, range a..b, or single int",
+        default_factory=lambda: [5],
+    )
+    t: int = _option("--t", int, "number of identical items", default=1)
+    m: object = _option("--m", _parse_m, "extra bidders: int, range a..b, or 'auto'", default="auto")
+    n_trials: int = _option("--n", int, "Monte Carlo trials", default=1_000_000)
+    seed: int = _option("--seed", int, "RNG seed (64-bit)", default=12345)
+    output_path: str | None = _option(
+        "--out", str, "output prefix; writes <out>.csv and <out>.json", default=None
+    )
+
+
+_OPTIONS = [f for f in fields(ExperimentConfig) if f.metadata]
 
 
 def _fmt(value) -> str:
@@ -144,12 +183,9 @@ def _rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _resolve_m(cfg: ExperimentConfig, k: int) -> int:
-    if cfg.m == "auto":
-        if cfg.experiment == "thm2":
-            return analysis.lower_bound_m(k)
-        return analysis.upper_bound_m(k)
-    return int(cfg.m)  # type: ignore[arg-type]
+def _resolve_m(cfg: ExperimentConfig, k: int, auto_bound) -> int:
+    """cfg.m as an int; "auto" takes `auto_bound(k)`."""
+    return auto_bound(k) if cfg.m == "auto" else int(cfg.m)  # type: ignore[arg-type]
 
 
 # --- experiment runners ------------------------------------------------------
@@ -171,7 +207,7 @@ def _run_gainloss(cfg):
     phi = cdf_left(dist, r)
     rows, ok = [], True
     for k in cfg.k:
-        m = _resolve_m(cfg, k)
+        m = _resolve_m(cfg, k, analysis.upper_bound_m)
         g = analysis.gain(phi, r, m)
         try:
             loss = analysis.loss_numeric(dist, k)
@@ -205,19 +241,21 @@ def _run_bounds(cfg):
     return rows, ok, {}
 
 
-def _paired_rows(cfg, dist, t, extra_of_k, row_check):
+def _paired_rows(cfg, auto_bound, row_check):
+    """thm1/thm2: EMA with k bidders against RMA with m extra, per k."""
+    dist = from_spec(cfg.distribution)
     rows, ok = [], True
     resolved = {}
     for k in cfg.k:
-        extra = extra_of_k(k)
+        extra = _resolve_m(cfg, k, auto_bound)
         resolved[str(k)] = extra
-        pc = simulate.paired_compare(dist, k, extra, t, cfg.n_trials, cfg.seed)
+        pc = simulate.paired_compare(dist, k, extra, cfg.t, cfg.n_trials, cfg.seed)
         row_ok = row_check(pc)
         ok &= row_ok
         rows.append(
             {
                 "k": k,
-                "t": t,
+                "t": cfg.t,
                 "extra": extra,
                 "n_trials": cfg.n_trials,
                 "diff_mean": pc.diff_mean,
@@ -233,23 +271,15 @@ def _paired_rows(cfg, dist, t, extra_of_k, row_check):
 
 
 def _run_thm1(cfg):
-    dist = from_spec(cfg.distribution)
     return _paired_rows(
-        cfg,
-        dist,
-        cfg.t,
-        lambda k: _resolve_m(cfg, k),
-        lambda pc: pc.diff_mean >= -3.0 * pc.diff_std_err,
+        cfg, analysis.upper_bound_m, lambda pc: pc.diff_mean >= -3.0 * pc.diff_std_err
     )
 
 
 def _run_thm2(cfg):
-    dist = from_spec(cfg.distribution)
     return _paired_rows(
         cfg,
-        dist,
-        cfg.t,
-        lambda k: _resolve_m(cfg, k),
+        analysis.lower_bound_m,
         lambda pc: pc.diff_mean < 0.0 and abs(pc.diff_mean) > 3.0 * pc.diff_std_err,
     )
 
@@ -261,7 +291,7 @@ def _run_thm3(cfg):
     eps_slack = 0.1
     rows, ok = [], True
     for k in cfg.k:
-        m = analysis.upper_bound_m(k) if cfg.m == "auto" else int(cfg.m)
+        m = _resolve_m(cfg, k, analysis.upper_bound_m)
         s = analysis.multi_item_s(cfg.t, m, eps_slack)
         gain_exact = analysis.multi_gain_exact(phi, r, m, s, cfg.t)
         gain_floor = r * cfg.t * (1.0 - phi**m)
@@ -429,68 +459,47 @@ def _build_parser():
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--dist", help="distribution: JSON record or family:args")
-        p.add_argument("--k", help="bidder count, range a..b, or single int")
-        p.add_argument("--t", type=int, help="number of identical items")
-        p.add_argument("--m", help="extra bidders: int, range a..b, or 'auto'")
-        p.add_argument("--n", type=int, help="Monte Carlo trials")
-        p.add_argument("--seed", type=int, help="RNG seed (64-bit)")
-        p.add_argument("--out", help="output prefix; writes <out>.csv and <out>.json")
+        for f in _OPTIONS:
+            p.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
     return parser
 
 
+def _read_config(path, experiment) -> dict:
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config file must hold a JSON object")
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    if raw.get("experiment", experiment) != experiment:
+        raise ConfigError(
+            f"config experiment {raw['experiment']!r} conflicts with subcommand {experiment!r}"
+        )
+    return raw
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Defaults, then the config file's fields, then the flags; a field that
+    is absent or null keeps the value before it."""
     cfg = ExperimentConfig(experiment=args.experiment)
     if args.experiment == "thm2":
         cfg.distribution = dict(_THM2_DIST)
     if args.experiment in _DEFAULT_K:
         cfg.k = _parse_int_range(_DEFAULT_K[args.experiment], "k")
 
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in fields(ExperimentConfig)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "experiment" in raw and raw["experiment"] != cfg.experiment:
-            raise ConfigError(
-                f"config experiment {raw['experiment']!r} conflicts with subcommand {cfg.experiment!r}"
-            )
-        if "distribution" in raw:
-            cfg.distribution = dict(raw["distribution"])
-        if "k" in raw:
-            cfg.k = _parse_int_range(raw["k"], "k")
-        if "t" in raw:
-            cfg.t = int(raw["t"])
-        if "m" in raw:
-            cfg.m = raw["m"]
-        if "n_trials" in raw:
-            cfg.n_trials = int(raw["n_trials"])
-        if "seed" in raw:
-            cfg.seed = int(raw["seed"])
-        if "output_path" in raw:
-            cfg.output_path = raw["output_path"]
-
-    if args.dist:
-        cfg.distribution = parse_dist_arg(args.dist)
-    if args.k:
-        cfg.k = _parse_int_range(args.k, "k")
-    if args.t is not None:
-        cfg.t = args.t
-    if args.m is not None:
-        keep_text = args.m == "auto" or ".." in str(args.m) or "," in str(args.m)
-        cfg.m = args.m if keep_text else int(args.m)
-    if args.n is not None:
-        cfg.n_trials = args.n
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.output_path = args.out
+    sources = [_read_config(args.config, cfg.experiment)] if args.config else []
+    for source in (*sources, vars(args)):
+        for f in _OPTIONS:
+            value = source.get(f.name)
+            if value is None:
+                continue
+            try:
+                setattr(cfg, f.name, f.metadata["parse"](value))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {f.name} value {value!r}: {exc}") from exc
 
     if cfg.t < 1:
         raise ConfigError("t must be at least 1")

@@ -17,15 +17,25 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DomainError, NoRoot
+from .errors import DomainError
 from .numerics import bisect, bracket_root
 
 # Universal cap on cdf(reserve) for nondecreasing-hazard distributions.
 ALPHA = 1.0 - 1.0 / math.e
+
+
+def check_phi(phi: float, lo_open: bool = False) -> float:
+    """phi = cdf(reserve) checked against [0, 1-1/e], or (0, 1-1/e] with
+    `lo_open`; a phi above 1-1/e by at most 1e-12 (rounding) is returned
+    clamped to 1-1/e. Raises DomainError otherwise."""
+    lo_ok = phi > 0.0 if lo_open else phi >= 0.0
+    if not (lo_ok and phi <= ALPHA + 1e-12):
+        raise DomainError(f"phi must lie in {'(' if lo_open else '['}0, 1-1/e], got {phi}")
+    return min(phi, ALPHA)
 
 
 def _promote(x):
@@ -175,9 +185,10 @@ class GFamily(ValueDistribution):
     pointwise-lowest on [0, r], which makes the family the worst case for
     the below-reserve efficiency shortfall.
 
-    phi may not exceed 1 - 1/e (the class is empty beyond that). eps
-    defaults to 1e-6*r; the family keeps a nondecreasing hazard only for
-    eps <= r.
+    phi may not exceed 1 - 1/e (the class is empty beyond that); a phi
+    above it by at most 1e-12 is silently clamped to 1 - 1/e, so `phi`
+    may read back smaller than given. eps defaults to 1e-6*r; the family
+    keeps a nondecreasing hazard only for eps <= r.
     """
 
     phi: float
@@ -187,10 +198,7 @@ class GFamily(ValueDistribution):
     def __post_init__(self):
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not (0.0 <= self.phi <= ALPHA + 1e-12):
-            raise DomainError(f"phi must lie in [0, 1-1/e], got {self.phi}")
-        if self.phi > ALPHA:
-            object.__setattr__(self, "phi", ALPHA)
+        object.__setattr__(self, "phi", check_phi(self.phi))
         if self.eps is None:
             object.__setattr__(self, "eps", 1e-6 * self.r)
         if not (math.isfinite(self.eps) and self.eps > 0.0):
@@ -383,7 +391,7 @@ def mhr_check(dist: ValueDistribution, grid_size: int = 256) -> MhrReport:
     h = np.asarray(dist.hazard(x))
     finite = np.isfinite(h)
     x, h = x[finite], h[finite]
-    drops = np.nonzero(h[1:] < h[:-1] - 1e-9)[0]
+    drops = np.nonzero(h[1:] < h[:-1] * (1.0 - 1e-9))[0]
     if drops.size == 0:
         return MhrReport(is_mhr=True, witness=None, grid_size=grid_size)
     i = int(drops[0])
@@ -417,7 +425,8 @@ def sample(dist: ValueDistribution, u):
     return dist.quantile(u)
 
 
-_FAMILIES = {"exponential", "uniform", "g", "p"}
+# The record format: {"family": tag, **fields of the family's dataclass}.
+FAMILIES = {"exponential": Exponential, "uniform": Uniform, "g": GFamily, "p": PFamily}
 
 
 def from_spec(record: dict) -> ValueDistribution:
@@ -425,35 +434,19 @@ def from_spec(record: dict) -> ValueDistribution:
     if not isinstance(record, dict) or "family" not in record:
         raise ValueError("distribution record must be a dict with a 'family' tag")
     family = record["family"]
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
-    args = {k: v for k, v in record.items() if k != "family"}
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     try:
-        if family == "exponential":
-            return Exponential(rate=float(args.pop("rate", 1.0)), **args)
-        if family == "uniform":
-            return Uniform(lo=float(args.pop("lo", 0.0)), hi=float(args.pop("hi", 1.0)), **args)
-        if family == "g":
-            eps = args.pop("eps", None)
-            return GFamily(
-                phi=float(args.pop("phi")),
-                r=float(args.pop("r")),
-                eps=None if eps is None else float(eps),
-                **args,
-            )
-        return PFamily(eps=float(args.pop("eps")), r=float(args.pop("r")), **args)
-    except (KeyError, TypeError) as exc:
+        # a null field is an absent one, so it takes the dataclass default
+        params = {k: float(v) for k, v in record.items() if k != "family" and v is not None}
+        return FAMILIES[family](**params)
+    except TypeError as exc:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
 def to_spec(dist: ValueDistribution) -> dict:
     """Inverse of from_spec, for self-describing reports."""
-    if isinstance(dist, Exponential):
-        return {"family": "exponential", "rate": dist.rate}
-    if isinstance(dist, Uniform):
-        return {"family": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, GFamily):
-        return {"family": "g", "phi": dist.phi, "r": dist.r, "eps": dist.eps}
-    if isinstance(dist, PFamily):
-        return {"family": "p", "eps": dist.eps, "r": dist.r}
+    for family, cls in FAMILIES.items():
+        if isinstance(dist, cls):
+            return {"family": family, **asdict(dist)}
     raise ValueError(f"no record form for {type(dist).__name__}")

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from mecheff.analysis import (
     ALPHA,
-    bound_set,
     gain,
-    gain_loss_report,
     gain_minus_loss_g,
     loss_closed_form_g,
     loss_numeric,
@@ -168,13 +166,6 @@ def test_gain_minus_loss_sign_at_bounds():
             assert gain_minus_loss_g(ALPHA, 1.0, k, m_low) < 0.0
 
 
-def test_gain_loss_report_fields():
-    rep = gain_loss_report(0.3, 2.0, 3, 5)
-    assert rep.diff == rep.gain - rep.loss
-    assert 0.0 <= rep.gain <= rep.r and 0.0 <= rep.loss <= rep.r
-    assert (rep.k, rep.m, rep.phi, rep.r) == (3, 5, 0.3, 2.0)
-
-
 @given(
     st.floats(0.05, ALPHA),
     st.floats(0.1, 10.0),
@@ -261,19 +252,13 @@ def test_upper_bound_examples():
 
 def test_lower_bound_examples():
     assert lower_bound_m(1) == 0
+    assert lower_bound_m(8) == 3
     assert lower_bound_m(10) == 4
 
 
 def test_bounds_consistent_small_scan():
     for k in range(1, 5001):
         assert lower_bound_m(k) < upper_bound_m(k)
-
-
-def test_bound_set_bundle():
-    bs = bound_set(8, t=2, epsilon_slack=0.1)
-    assert bs.m_upper == 8 and bs.m_lower == 3
-    assert bs.s_multi == multi_item_s(2, 8, 0.1)
-    assert bs.m_upper >= bs.m_lower
 
 
 def test_multi_item_s_examples():

@@ -32,6 +32,15 @@ def test_parse_dist_compact_forms():
         "family": "exponential",
         "rate": 2.0,
     }
+    # defaults: a float default is written out, g's eps only when given,
+    # and a lone uniform argument is hi
+    assert parse_dist_arg("g:0.5:1") == {"family": "g", "phi": 0.5, "r": 1.0}
+    assert parse_dist_arg("exponential") == {"family": "exponential", "rate": 1.0}
+    assert parse_dist_arg("uniform:2") == {"family": "uniform", "lo": 0.0, "hi": 2.0}
+    assert parse_dist_arg("uniform") == {"family": "uniform", "lo": 0.0, "hi": 1.0}
+    for bad in ("cauchy:1", "exponential:x", "exponential:1:2", "p:0.1:1:5"):
+        with pytest.raises(cli.ConfigError):
+            parse_dist_arg(bad)
 
 
 def test_reserve_prints_value(capsys):
@@ -123,6 +132,30 @@ def test_config_file_and_flag_override(tmp_path):
     assert rc == 0
     summary = json.loads((tmp_path / "from_file.json").read_text())
     assert summary["params"]["k"] == [1, 2, 3]  # flag overrode the file
+
+
+def test_config_file_and_flags_build_the_same_config(tmp_path):
+    path = tmp_path / "cfg.json"
+
+    def build(argv, record=None):
+        if record is not None:
+            path.write_text(json.dumps(record))
+            argv = [*argv, "--config", str(path)]
+        return cli.build_config(cli._build_parser().parse_args(["regular_cx", *argv]))
+
+    flags = ["--dist", "g:0.5:1", "--k", "2..4", "--t", "2", "--m", "1..3",
+             "--n", "1000", "--seed", "0", "--out", "x"]
+    same = {"experiment": "regular_cx", "distribution": "g:0.5:1", "k": "2..4", "t": 2,
+            "m": "1..3", "n_trials": 1000, "seed": 0, "output_path": "x"}
+    other = {"distribution": {"family": "exponential", "rate": 2.0}, "k": [7], "t": 3,
+             "m": 5, "n_trials": 9, "seed": 11, "output_path": "y"}
+    from_flags = build(flags)
+    assert (from_flags.seed, from_flags.m) == (0, "1..3")
+    assert from_flags.distribution == {"family": "g", "phi": 0.5, "r": 1.0}
+    assert build([], same) == from_flags
+    assert build(flags, other) == from_flags  # every flag, --seed 0 too, overrides the file
+    assert build([], {"m": "5"}).m == 5
+    assert build([], {"seed": None}).seed == build([]).seed  # null keeps the default
 
 
 def test_config_errors_exit_2(tmp_path):

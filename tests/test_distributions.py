@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mecheff.distributions import (
     ALPHA,
+    FAMILIES,
     Exponential,
     GFamily,
     PFamily,
@@ -45,20 +46,24 @@ mhr_family = st.one_of(
 
 
 class NoClosedFormExp(ValueDistribution):
-    """Exponential seen only through evaluators; exercises the root finder."""
+    """Exponential with mean `scale` seen only through evaluators; exercises
+    the root finder and the pdf/(1-cdf) hazard."""
+
+    def __init__(self, scale=1.0):
+        self.scale = scale
 
     @property
     def support_hi(self):
         return math.inf
 
     def cdf(self, x):
-        return -np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0))
+        return -np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
 
     def pdf(self, x):
-        return np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0))
+        return np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale) / self.scale
 
     def quantile(self, u):
-        return -np.log1p(-np.asarray(u, dtype=float))
+        return -self.scale * np.log1p(-np.asarray(u, dtype=float))
 
 
 class SubUnitHazard(ValueDistribution):
@@ -156,6 +161,13 @@ def test_mhr_check_examples():
     p = PFamily(eps=0.1, r=1.0)
     assert x1 < x2
     assert float(p.hazard(x1)) - float(p.hazard(x2)) > 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-8, 1e-3, 1.0, 1e3, 1e9, 1e12])
+def test_mhr_check_is_scale_free(scale):
+    # the hazard scales like 1/scale, so the drop tolerance must be relative
+    assert mhr_check(NoClosedFormExp(scale)).is_mhr
+    assert not mhr_check(PFamily(eps=0.5 * scale, r=scale)).is_mhr
 
 
 def test_mhr_check_grid_too_small():
@@ -347,11 +359,23 @@ def test_from_spec_records():
         phi=0.5, r=1.0, eps=1e-6
     )
     assert from_spec({"family": "p", "eps": 0.1, "r": 1.0}) == PFamily(eps=0.1, r=1.0)
+    # a null field takes the dataclass default
+    assert from_spec({"family": "g", "phi": 0.5, "r": 1.0, "eps": None}) == GFamily(phi=0.5, r=1.0)
 
 
 def test_spec_roundtrip():
-    for dist in [Exponential(2.0), Uniform(hi=3.0), GFamily(phi=0.2, r=1.5), PFamily(eps=0.2, r=2.0)]:
+    records = [
+        (Exponential(2.0), [("family", "exponential"), ("rate", 2.0)]),
+        (Uniform(hi=3.0), [("family", "uniform"), ("lo", 0.0), ("hi", 3.0)]),
+        (GFamily(phi=0.2, r=1.5), [("family", "g"), ("phi", 0.2), ("r", 1.5), ("eps", 1.5e-6)]),
+        (PFamily(eps=0.2, r=2.0), [("family", "p"), ("eps", 0.2), ("r", 2.0)]),
+    ]
+    assert {type(dist) for dist, _ in records} == set(FAMILIES.values())
+    for dist, items in records:
+        assert list(to_spec(dist).items()) == items
         assert from_spec(to_spec(dist)) == dist
+    with pytest.raises(ValueError):
+        to_spec(NoClosedFormExp())
 
 
 def test_from_spec_rejects_garbage():
@@ -361,6 +385,8 @@ def test_from_spec_rejects_garbage():
         from_spec({"rate": 1.0})
     with pytest.raises(ValueError):
         from_spec({"family": "g", "phi": 0.5})
+    with pytest.raises(ValueError):
+        from_spec({"family": "g", "phi": [0.5], "r": 1.0})
 
 
 def test_cdf_left_removes_atom_at_point():
