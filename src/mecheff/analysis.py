@@ -266,7 +266,7 @@ def regular_counterexample_search(
         raise ValueError(f"r must be positive and finite, got {r}")
     eps = r
     while eps > 1e-15:
-        gain_p = r * (1.0 - (r / (r + eps)) ** m)
+        gain_p = gain(r / (r + eps), r, m)
         loss_p = loss_p_unconditional(eps, r, k)
         if loss_p - gain_p > margin:
             return eps

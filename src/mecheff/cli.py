@@ -1,12 +1,18 @@
 """Command-line front end: named experiments with CSV + JSON reporting.
 
+Each experiment is declared once, as an entry of the `_EXPERIMENTS` table
+that holds its runner, the config values it starts from and the check its
+rows must meet. Those defaults are the first config source; the config file
+and then the flags override them. The runner gets the config and its built
+distribution and returns the row records and any extra JSON parameters; the
+experiment passes when the check holds on every row.
+
 Each experiment writes a CSV of per-k rows and a JSON summary embedding the
-resolved parameters, and exits 0 when every asserted inequality holds, 1
-when any fails, 2 on configuration errors. The columns are the keys of an
-experiment's row records, in a fixed order so golden-file comparisons stay
-stable; floats are printed with 17 significant digits and identical
-(config, seed) runs produce byte-identical output regardless of the thread
-cap (MECH_EFF_THREADS).
+resolved parameters, and exits 0 when every row passes, 1 when any fails,
+2 on configuration errors. The columns are the keys of an experiment's row
+records, in a fixed order so golden-file comparisons stay stable; floats are
+printed with 17 significant digits and identical (config, seed) runs produce
+byte-identical output regardless of the thread cap (MECH_EFF_THREADS).
 """
 
 from __future__ import annotations
@@ -15,9 +21,13 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
+from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis, simulate
 from .distributions import (
@@ -33,53 +43,48 @@ from .distributions import (
 from .errors import DegenerateConditioning, MechEffError
 
 _DEFAULT_DIST = {"family": "exponential", "rate": 1.0}
-# The strict-shortfall experiment is about the extremal family.
-_THM2_DIST = {"family": "g", "phi": ALPHA, "r": 1.0, "eps": 1e-6}
-
-_DEFAULT_K = {
-    "gainloss": "1..8",
-    "bounds": "1..100",
-    "thm1": [1, 2, 5, 10],
-    "thm2": [3, 5, 8],
-    "thm3": [20],
-    "regular_cx": "1..5",
-    "ratio": [1, 2, 5, 10],
-    "bk": [1, 3, 5],
-}
 
 
 class ConfigError(Exception):
     pass
 
 
+def _parse_int(value) -> int:
+    """An int, an integral float such as 5.0, or an int's text; a bool or a
+    fractional number raises ValueError instead of being truncated."""
+    integral = isinstance(value, (int, str)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_int_range(value, what):
     """Accept an int, an 'a..b' range, a comma list, or a list of ints."""
-    if isinstance(value, int):
-        return [value]
+    if not isinstance(value, (str, list)):
+        return [_parse_int(value)]
     if isinstance(value, list):
-        out = [int(v) for v in value]
+        out = [_parse_int(v) for v in value]
         if not out:
             raise ConfigError(f"{what} range must be nonempty")
         return out
-    text = str(value)
-    if "," in text:
+    if "," in value:
         try:
-            return [int(p) for p in text.split(",") if p.strip()]
+            return [int(p) for p in value.split(",") if p.strip()]
         except ValueError:
-            raise ConfigError(f"bad {what} list {text!r}") from None
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
+            raise ConfigError(f"bad {what} list {value!r}") from None
+    if ".." in value:
+        lo_s, _, hi_s = value.partition("..")
         try:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
-            raise ConfigError(f"bad {what} range {text!r}") from None
+            raise ConfigError(f"bad {what} range {value!r}") from None
         if hi < lo:
-            raise ConfigError(f"{what} range {text!r} is empty")
+            raise ConfigError(f"{what} range {value!r} is empty")
         return list(range(lo, hi + 1))
     try:
-        return [int(text)]
+        return [int(value)]
     except ValueError:
-        raise ConfigError(f"bad {what} value {text!r}") from None
+        raise ConfigError(f"bad {what} value {value!r}") from None
 
 
 def parse_dist_arg(text: str) -> dict:
@@ -127,7 +132,7 @@ def _parse_m(value):
     text = str(value)
     if isinstance(value, list) or text == "auto" or ".." in text or "," in text:
         return value
-    return int(value)
+    return _parse_int(value)
 
 
 def _option(flag, parse, help, **default):
@@ -137,8 +142,9 @@ def _option(flag, parse, help, **default):
 
 @dataclass
 class ExperimentConfig:
-    """One run. Every field but `experiment` is set from its default, then a
-    config file, then its flag, each through the field's `parse`."""
+    """One run. Every field but `experiment` is set from its default, then the
+    experiment's defaults, a config file and its flag, each through the
+    field's `parse`."""
 
     experiment: str
     distribution: dict = _option(
@@ -153,10 +159,10 @@ class ExperimentConfig:
         "bidder count, range a..b, or single int",
         default_factory=lambda: [5],
     )
-    t: int = _option("--t", int, "number of identical items", default=1)
+    t: int = _option("--t", _parse_int, "number of identical items", default=1)
     m: object = _option("--m", _parse_m, "extra bidders: int, range a..b, or 'auto'", default="auto")
-    n_trials: int = _option("--n", int, "Monte Carlo trials", default=1_000_000)
-    seed: int = _option("--seed", int, "RNG seed (64-bit)", default=12345)
+    n_trials: int = _option("--n", _parse_int, "Monte Carlo trials", default=1_000_000)
+    seed: int = _option("--seed", _parse_int, "RNG seed (64-bit)", default=12345)
     output_path: str | None = _option(
         "--out", str, "output prefix; writes <out>.csv and <out>.json", default=None
     )
@@ -185,27 +191,33 @@ def _rows_to_csv(rows) -> str:
 
 def _resolve_m(cfg: ExperimentConfig, k: int, auto_bound) -> int:
     """cfg.m as an int; "auto" takes `auto_bound(k)`."""
-    return auto_bound(k) if cfg.m == "auto" else int(cfg.m)  # type: ignore[arg-type]
+    if cfg.m == "auto":
+        return auto_bound(k)
+    if not isinstance(cfg.m, int):
+        raise ConfigError(f"m must be an int or 'auto' here, got {cfg.m!r}")
+    return cfg.m
+
+
+def _not_below(value, floor, std_err) -> bool:
+    """The one-sided 3-sigma test: `value` is not significantly below `floor`."""
+    return value >= floor - 3.0 * std_err
 
 
 # --- experiment runners ------------------------------------------------------
-# Each returns (rows, passed, extra_params); every row is a dict whose keys
-# are the CSV columns, in order.
+# Each takes (cfg, dist) and returns (rows, extra_params); every row is a
+# dict whose keys are the CSV columns, in order.
 
 
-def _run_reserve(cfg):
-    dist = from_spec(cfg.distribution)
+def _run_reserve(cfg, dist):
     r = reserve_price(dist)
     print(repr(float(r)))
-    rows = [{"dist": json.dumps(cfg.distribution, sort_keys=True), "reserve": float(r)}]
-    return rows, True, {}
+    return [{"dist": json.dumps(cfg.distribution, sort_keys=True), "reserve": float(r)}], {}
 
 
-def _run_gainloss(cfg):
-    dist = from_spec(cfg.distribution)
+def _run_gainloss(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
-    rows, ok = [], True
+    rows = []
     for k in cfg.k:
         m = _resolve_m(cfg, k, analysis.upper_bound_m)
         g = analysis.gain(phi, r, m)
@@ -214,8 +226,6 @@ def _run_gainloss(cfg):
         except DegenerateConditioning:
             loss = 0.0
         loss_extremal = analysis.loss_closed_form_g(phi, r, k) if phi > 0.0 else 0.0
-        row_ok = loss <= loss_extremal + 1e-8
-        ok &= row_ok
         rows.append(
             {
                 "k": k,
@@ -226,70 +236,53 @@ def _run_gainloss(cfg):
                 "loss": loss,
                 "loss_extremal": loss_extremal,
                 "diff": g - loss,
-                "pass": row_ok,
+                "pass": loss <= loss_extremal + 1e-8,
             }
         )
-    return rows, ok, {"phi": phi, "r": r}
+    return rows, {"phi": phi, "r": r}
 
 
-def _run_bounds(cfg):
-    rows, ok = [], True
-    for k in cfg.k:
-        mu, ml = analysis.upper_bound_m(k), analysis.lower_bound_m(k)
-        ok &= ml <= mu
-        rows.append({"k": k, "m_upper": mu, "m_lower": ml})
-    return rows, ok, {}
+def _run_bounds(cfg, dist):
+    rows = [
+        {"k": k, "m_upper": analysis.upper_bound_m(k), "m_lower": analysis.lower_bound_m(k)}
+        for k in cfg.k
+    ]
+    return rows, {}
 
 
-def _paired_rows(cfg, auto_bound, row_check):
+def _paired_runner(auto_bound, row_check):
     """thm1/thm2: EMA with k bidders against RMA with m extra, per k."""
-    dist = from_spec(cfg.distribution)
-    rows, ok = [], True
-    resolved = {}
-    for k in cfg.k:
-        extra = _resolve_m(cfg, k, auto_bound)
-        resolved[str(k)] = extra
-        pc = simulate.paired_compare(dist, k, extra, cfg.t, cfg.n_trials, cfg.seed)
-        row_ok = row_check(pc)
-        ok &= row_ok
-        rows.append(
-            {
-                "k": k,
-                "t": cfg.t,
-                "extra": extra,
-                "n_trials": cfg.n_trials,
-                "diff_mean": pc.diff_mean,
-                "diff_std_err": pc.diff_std_err,
-                "eff_ema_mean": pc.ema.mean,
-                "eff_ema_std_err": pc.ema.std_err,
-                "eff_rma_mean": pc.rma.mean,
-                "eff_rma_std_err": pc.rma.std_err,
-                "pass": row_ok,
-            }
-        )
-    return rows, ok, {"extra_by_k": resolved}
+
+    def run(cfg, dist):
+        rows = []
+        for k in cfg.k:
+            extra = _resolve_m(cfg, k, auto_bound)
+            pc = simulate.paired_compare(dist, k, extra, cfg.t, cfg.n_trials, cfg.seed)
+            rows.append(
+                {
+                    "k": k,
+                    "t": cfg.t,
+                    "extra": extra,
+                    "n_trials": cfg.n_trials,
+                    "diff_mean": pc.diff_mean,
+                    "diff_std_err": pc.diff_std_err,
+                    "eff_ema_mean": pc.ema.mean,
+                    "eff_ema_std_err": pc.ema.std_err,
+                    "eff_rma_mean": pc.rma.mean,
+                    "eff_rma_std_err": pc.rma.std_err,
+                    "pass": row_check(pc),
+                }
+            )
+        return rows, {"extra_by_k": {str(row["k"]): row["extra"] for row in rows}}
+
+    return run
 
 
-def _run_thm1(cfg):
-    return _paired_rows(
-        cfg, analysis.upper_bound_m, lambda pc: pc.diff_mean >= -3.0 * pc.diff_std_err
-    )
-
-
-def _run_thm2(cfg):
-    return _paired_rows(
-        cfg,
-        analysis.lower_bound_m,
-        lambda pc: pc.diff_mean < 0.0 and abs(pc.diff_mean) > 3.0 * pc.diff_std_err,
-    )
-
-
-def _run_thm3(cfg):
-    dist = from_spec(cfg.distribution)
+def _run_thm3(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
     eps_slack = 0.1
-    rows, ok = [], True
+    rows = []
     for k in cfg.k:
         m = _resolve_m(cfg, k, analysis.upper_bound_m)
         s = analysis.multi_item_s(cfg.t, m, eps_slack)
@@ -297,8 +290,6 @@ def _run_thm3(cfg):
         gain_floor = r * cfg.t * (1.0 - phi**m)
         analytic_ok = gain_exact >= gain_floor - 1e-12
         pc = simulate.paired_compare(dist, k, m + s, cfg.t, cfg.n_trials, cfg.seed)
-        sim_ok = pc.diff_mean >= -3.0 * pc.diff_std_err
-        ok &= analytic_ok and sim_ok
         rows.append(
             {
                 "k": k,
@@ -311,29 +302,28 @@ def _run_thm3(cfg):
                 "analytic_pass": analytic_ok,
                 "diff_mean": pc.diff_mean,
                 "diff_std_err": pc.diff_std_err,
-                "pass": analytic_ok and sim_ok,
+                "pass": analytic_ok and _not_below(pc.diff_mean, 0.0, pc.diff_std_err),
             }
         )
-    return rows, ok, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
+    return rows, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
 
 
-def _run_regular_cx(cfg):
+def _run_regular_cx(cfg, dist):
     r = 1.0
     margin_target = 1e-6 * r
     ms = _parse_int_range(cfg.m if cfg.m != "auto" else "1..10", "m")
-    rows, ok = [], True
+    grid_u = 0.05 + 0.9 * np.arange(64) / 63
+    rows = []
     for k in cfg.k:
         for m in ms:
             eps_star = analysis.regular_counterexample_search(k, m, r, margin=margin_target)
-            dist = PFamily(eps=eps_star, r=r)
+            capped = PFamily(eps=eps_star, r=r)
             loss = analysis.loss_p_unconditional(eps_star, r, k)
-            g = r * (1.0 - (r / (r + eps_star)) ** m)
-            grid = [dist.quantile(u) for u in (0.05 + 0.9 * i / 63 for i in range(64))]
-            psi = [virtual_value(dist, x) for x in grid if x < r]
-            regular_ok = all(b >= a - 1e-9 for a, b in zip(psi, psi[1:]))
-            mhr_violated = not mhr_check(dist, 256).is_mhr
-            row_ok = loss - g > margin_target and regular_ok and mhr_violated
-            ok &= row_ok
+            g = analysis.gain(r / (r + eps_star), r, m)
+            grid = capped.quantile(grid_u)
+            psi = virtual_value(capped, grid[grid < r])
+            regular_ok = bool(np.all(psi[1:] >= psi[:-1] - 1e-9))
+            mhr_violated = not mhr_check(capped, 256).is_mhr
             rows.append(
                 {
                     "k": k,
@@ -344,24 +334,18 @@ def _run_regular_cx(cfg):
                     "margin": loss - g,
                     "regular_ok": regular_ok,
                     "mhr_violated": mhr_violated,
-                    "pass": row_ok,
+                    "pass": loss - g > margin_target and regular_ok and mhr_violated,
                 }
             )
-    return rows, ok, {"r": r, "margin_target": margin_target}
+    return rows, {"r": r, "margin_target": margin_target}
 
 
-def _run_ratio(cfg):
-    dist = from_spec(cfg.distribution)
-    rows, ok = [], True
+def _run_ratio(cfg, dist):
+    rows = []
     for k in cfg.k:
         est = simulate.efficiency_ratio(dist, k, cfg.n_trials, cfg.seed)
         eff_floor = 1.0 - ALPHA**k
         rev_floor = 1.0 - ALPHA ** (k - 1)
-        row_ok = (
-            est.eff_ratio >= eff_floor - 3.0 * est.eff_ratio_std_err
-            and est.rev_ratio >= rev_floor - 3.0 * est.rev_ratio_std_err
-        )
-        ok &= row_ok
         rows.append(
             {
                 "k": k,
@@ -371,19 +355,17 @@ def _run_ratio(cfg):
                 "rev_ratio": est.rev_ratio,
                 "rev_floor": rev_floor,
                 "rev_std_err": est.rev_ratio_std_err,
-                "pass": row_ok,
+                "pass": _not_below(est.eff_ratio, eff_floor, est.eff_ratio_std_err)
+                and _not_below(est.rev_ratio, rev_floor, est.rev_ratio_std_err),
             }
         )
-    return rows, ok, {}
+    return rows, {}
 
 
-def _run_bk(cfg):
-    dist = from_spec(cfg.distribution)
-    rows, ok = [], True
+def _run_bk(cfg, dist):
+    rows = []
     for k in cfg.k:
         pc = simulate.revenue_compare_bk(dist, k, cfg.n_trials, cfg.seed)
-        row_ok = pc.diff_mean >= -3.0 * pc.diff_std_err
-        ok &= row_ok
         rows.append(
             {
                 "k": k,
@@ -391,39 +373,65 @@ def _run_bk(cfg):
                 "diff_std_err": pc.diff_std_err,
                 "rev_ema_mean": pc.ema.mean,
                 "rev_rma_mean": pc.rma.mean,
-                "pass": row_ok,
+                "pass": _not_below(pc.diff_mean, 0.0, pc.diff_std_err),
             }
         )
-    return rows, ok, {}
+    return rows, {}
 
 
-_RUNNERS = {
-    "reserve": _run_reserve,
-    "gainloss": _run_gainloss,
-    "bounds": _run_bounds,
-    "thm1": _run_thm1,
-    "thm2": _run_thm2,
-    "thm3": _run_thm3,
-    "regular_cx": _run_regular_cx,
-    "ratio": _run_ratio,
-    "bk": _run_bk,
+@dataclass(frozen=True)
+class _Experiment:
+    """`run(cfg, dist)` gives the rows and extra JSON params; `defaults` are
+    the config values the experiment starts from; it passes when `check`
+    holds on every row."""
+
+    run: Callable
+    defaults: dict
+    check: Callable = operator.itemgetter("pass")
+
+
+_EXPERIMENTS = {
+    "reserve": _Experiment(_run_reserve, {}, check=lambda row: True),
+    "gainloss": _Experiment(_run_gainloss, {"k": "1..8"}),
+    "bounds": _Experiment(
+        _run_bounds, {"k": "1..100"}, check=lambda row: row["m_lower"] <= row["m_upper"]
+    ),
+    "thm1": _Experiment(
+        _paired_runner(
+            analysis.upper_bound_m, lambda pc: _not_below(pc.diff_mean, 0.0, pc.diff_std_err)
+        ),
+        {"k": [1, 2, 5, 10]},
+    ),
+    # the strict shortfall is a claim about the extremal family
+    "thm2": _Experiment(
+        _paired_runner(
+            analysis.lower_bound_m,
+            lambda pc: pc.diff_mean < 0.0 and abs(pc.diff_mean) > 3.0 * pc.diff_std_err,
+        ),
+        {"k": [3, 5, 8], "distribution": {"family": "g", "phi": ALPHA, "r": 1.0, "eps": 1e-6}},
+    ),
+    "thm3": _Experiment(_run_thm3, {"k": [20]}),
+    "regular_cx": _Experiment(_run_regular_cx, {"k": "1..5"}),
+    "ratio": _Experiment(_run_ratio, {"k": [1, 2, 5, 10]}),
+    "bk": _Experiment(_run_bk, {"k": [1, 3, 5]}),
 }
-EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; write reports; return the exit status."""
+    experiment = _EXPERIMENTS[cfg.experiment]
     try:
         if not cfg.k:  # an experiment without rows has no columns to report
             raise ConfigError("k range must be nonempty")
-        rows, passed, extra_params = _RUNNERS[cfg.experiment](cfg)
+        rows, extra_params = experiment.run(cfg, from_spec(cfg.distribution))
     except (ConfigError, MechEffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    passed = all(experiment.check(row) for row in rows)
     csv_text = _rows_to_csv(rows)
     summary = {
         "experiment": cfg.experiment,
-        "pass": bool(passed),
+        "pass": passed,
         "params": {
             "distribution": cfg.distribution,
             "k": cfg.k,
@@ -456,7 +464,7 @@ def _build_parser():
         description="Reserve-price vs efficiency-maximizing auction experiments.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name in _EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file; flags override its fields")
         for f in _OPTIONS:
@@ -482,16 +490,11 @@ def _read_config(path, experiment) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then the config file's fields, then the flags; a field that
-    is absent or null keeps the value before it."""
+    """The experiment's defaults, then the config file's fields, then the
+    flags; a field that is absent or null keeps the value before it."""
     cfg = ExperimentConfig(experiment=args.experiment)
-    if args.experiment == "thm2":
-        cfg.distribution = dict(_THM2_DIST)
-    if args.experiment in _DEFAULT_K:
-        cfg.k = _parse_int_range(_DEFAULT_K[args.experiment], "k")
-
     sources = [_read_config(args.config, cfg.experiment)] if args.config else []
-    for source in (*sources, vars(args)):
+    for source in (_EXPERIMENTS[cfg.experiment].defaults, *sources, vars(args)):
         for f in _OPTIONS:
             value = source.get(f.name)
             if value is None:

@@ -54,12 +54,11 @@ class ValueDistribution(ABC):
     pdf/(1-cdf) but is overridden wherever a cleaner form exists. All
     evaluators are vectorized over numpy arrays and return plain floats
     for scalar input. Instances are immutable after construction.
-    """
 
-    @property
-    @abstractmethod
-    def support_hi(self) -> float:
-        """Upper end of the support (may be inf). Lower end is always 0."""
+    Contract: `quantile` is nondecreasing on [0, 1) in floating point, not
+    only in exact arithmetic, so an order statistic of the uniforms maps to
+    the same order statistic of the values.
+    """
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -104,10 +103,6 @@ class Exponential(ValueDistribution):
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     @property
-    def support_hi(self):
-        return math.inf
-
-    @property
     def exact_reserve(self):
         # constant hazard: x*h(x) = 1 at x = 1/rate
         return 1.0 / self.rate
@@ -143,10 +138,6 @@ class Uniform(ValueDistribution):
             raise ValueError("support must start at 0")
         if not (math.isfinite(self.hi) and self.hi > 0.0):
             raise ValueError(f"hi must be positive and finite, got {self.hi}")
-
-    @property
-    def support_hi(self):
-        return self.hi
 
     @property
     def exact_reserve(self):
@@ -211,10 +202,6 @@ class GFamily(ValueDistribution):
         return min(self.r, max(0.0, t))
 
     @property
-    def support_hi(self):
-        return self.r + self.eps
-
-    @property
     def exact_reserve(self):
         return self.r
 
@@ -256,7 +243,8 @@ class GFamily(ValueDistribution):
         t, r, eps, phi = self.t_knot, self.r, self.eps, self.phi
         out = np.empty(u.shape)
         low = u <= phi
-        out[low] = t - r * np.log1p(-u[low])
+        # capped at r: rounding may put the low branch's top an ulp above it
+        out[low] = np.minimum(t - r * np.log1p(-u[low]), r)
         out[~low] = r + eps * (u[~low] - phi) / (1.0 - phi)
         return _demote(out, scalar)
 
@@ -279,10 +267,6 @@ class PFamily(ValueDistribution):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not (math.isfinite(self.r) and self.r > 0.0):
             raise ValueError(f"r must be positive and finite, got {self.r}")
-
-    @property
-    def support_hi(self):
-        return self.r
 
     @property
     def atoms(self):
@@ -318,7 +302,8 @@ class PFamily(ValueDistribution):
         u, scalar = _promote(u)
         out = np.full(u.shape, self.r)
         below = u < self.r / (self.r + self.eps)
-        out[below] = self.eps * u[below] / (1.0 - u[below])
+        # capped at r: rounding may put the last u below the atom an ulp above it
+        out[below] = np.minimum(self.eps * u[below] / (1.0 - u[below]), self.r)
         return _demote(out, scalar)
 
 

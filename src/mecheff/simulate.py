@@ -16,8 +16,9 @@ Reproducibility contract: trials are partitioned into fixed batches of
 counter b << 192 under the run's seed. Every trial's draws are therefore a
 pure function of (seed, trial index), and partial sums are merged in batch
 order, so results are bitwise identical for any worker count. The
-MECH_EFF_THREADS environment variable caps the thread pool; absent, the
-pool has one thread per CPU in the process's affinity mask, at most 8.
+MECH_EFF_THREADS environment variable, the only thread control, caps the
+thread pool; absent, the pool has one thread per CPU in the process's
+affinity mask, at most 8.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ class RatioEstimate:
     seed: int
 
 
-def _resolve_threads(threads):
-    if threads is not None:
-        return max(1, int(threads))
+def _resolve_threads():
     env = os.environ.get("MECH_EFF_THREADS")
     if env:
         try:
@@ -104,7 +103,7 @@ def _batch_uniforms(seed: int, batch_index: int, rows: int, cols: int):
     return np.random.Generator(bitgen).random((rows, cols))
 
 
-def _moment_scan(dist, n_cols, n_trials, seed, stat_fn, threads=None):
+def _moment_scan(dist, n_cols, n_trials, seed, stat_fn):
     """First and second cross moments of the per-trial statistics.
 
     stat_fn maps a (rows, n_cols) value matrix to a tuple of per-trial stat
@@ -121,7 +120,7 @@ def _moment_scan(dist, n_cols, n_trials, seed, stat_fn, threads=None):
         stats = np.column_stack(stat_fn(values))
         return stats.sum(axis=0), stats.T @ stats
 
-    workers = _resolve_threads(threads)
+    workers = _resolve_threads()
     if workers > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(one, range(n_batches)))
@@ -190,7 +189,6 @@ def estimate_mechanism(
     mechanism: str,
     n_trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> MechanismEstimate:
     """Mean efficiency and revenue of one mechanism over i.i.d. value draws."""
     if n_bidders < 1 or t < 1:
@@ -209,7 +207,7 @@ def estimate_mechanism(
         def stat_fn(v):
             return _ema_stats(*_select(v, t))
 
-    s1, s2 = _moment_scan(dist, n_bidders, n_trials, seed, stat_fn, threads)
+    s1, s2 = _moment_scan(dist, n_bidders, n_trials, seed, stat_fn)
     return MechanismEstimate(
         efficiency=_estimate(s1[0], s2[0, 0], n_trials, seed),
         revenue=_estimate(s1[1], s2[1, 1], n_trials, seed),
@@ -223,7 +221,6 @@ def paired_compare(
     t: int,
     n_trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> PairedEstimate:
     """Couple EMA(t) on the first k draws with RMA(t) on all k+extra.
 
@@ -241,7 +238,7 @@ def paired_compare(
         eff_r, _ = _rma_stats(*_select(v, t), r)
         return eff_e, eff_r
 
-    s1, s2 = _moment_scan(dist, k + extra, n_trials, seed, stat_fn, threads)
+    s1, s2 = _moment_scan(dist, k + extra, n_trials, seed, stat_fn)
     return _paired(s1, s2, n_trials, seed, a=1)
 
 
@@ -250,7 +247,6 @@ def revenue_compare_bk(
     k: int,
     n_trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> PairedEstimate:
     """Paired estimate of Rev(EMA(k+1)) - Rev(RMA(k)) on common draws.
 
@@ -267,7 +263,7 @@ def revenue_compare_bk(
         _, rev_r = _rma_stats(*_select(v[:, :k], 1), r)
         return rev_e, rev_r
 
-    s1, s2 = _moment_scan(dist, k + 1, n_trials, seed, stat_fn, threads)
+    s1, s2 = _moment_scan(dist, k + 1, n_trials, seed, stat_fn)
     return _paired(s1, s2, n_trials, seed, a=0)
 
 
@@ -276,7 +272,6 @@ def efficiency_ratio(
     k: int,
     n_trials: int,
     seed: int,
-    threads: int | None = None,
 ) -> RatioEstimate:
     """Eff(RMA(k))/Eff(EMA(k)) and Rev(EMA(k))/Rev(RMA(k)) at equal k.
 
@@ -295,7 +290,7 @@ def efficiency_ratio(
         return eff_e, eff_r, rev_e, rev_r
 
     n = n_trials
-    s1, s2 = _moment_scan(dist, k, n, seed, stat_fn, threads)
+    s1, s2 = _moment_scan(dist, k, n, seed, stat_fn)
     means = s1 / n
 
     def ratio_with_err(num, den):

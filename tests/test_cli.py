@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +170,34 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["thm2", "--config", str(cfg)]) == 2  # conflicting experiment
 
 
+@pytest.mark.parametrize(
+    "experiment, record",
+    [
+        ("thm1", {"t": 2.5}),
+        ("thm1", {"k": [1.7]}),
+        ("thm1", {"n_trials": 1000.9}),
+        ("thm1", {"seed": True}),
+        ("bounds", {"k": True}),
+        ("thm1", {"m": 2.5}),
+        ("thm1", {"m": [3]}),
+        ("regular_cx", {"m": [1.5]}),
+    ],
+)
+def test_config_integers_are_not_truncated(tmp_path, experiment, record):
+    # a bool or a fractional number is a config error, not an int
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k": [1], "n_trials": 1000, **record}))
+    assert main([experiment, "--config", str(path)]) == 2
+
+
+def test_config_integral_floats_are_ints(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"t": 2.0, "k": 3.0, "m": 5.0, "n_trials": 1e3, "seed": 7.0}))
+    cfg = cli.build_config(cli._build_parser().parse_args(["thm1", "--config", str(path)]))
+    assert (cfg.t, cfg.k, cfg.m, cfg.n_trials, cfg.seed) == (2, [3], 5, 1000, 7)
+    assert all(type(v) is int for v in (cfg.t, *cfg.k, cfg.m, cfg.n_trials, cfg.seed))
+
+
 def test_run_time_config_error_exits_2():
     # the m range of regular_cx is parsed when the experiment runs
     assert main(["regular_cx", "--k", "1", "--m", "5..1"]) == 2
@@ -177,10 +206,10 @@ def test_run_time_config_error_exits_2():
 
 
 def test_internal_key_error_propagates(monkeypatch):
-    def broken(cfg):
+    def broken(cfg, dist):
         raise KeyError("missing internal column")
 
-    monkeypatch.setitem(cli._RUNNERS, "bounds", broken)
+    monkeypatch.setitem(cli._EXPERIMENTS, "bounds", cli._Experiment(broken, {}))
     with pytest.raises(KeyError):
         main(["bounds", "--k", "1"])
 
@@ -215,6 +244,22 @@ def test_csv_byte_identical_on_rerun(tmp_path):
     r2 = run_cli(args + ["--out", str(tmp_path / "b")])
     assert r1.returncode == 0 and r2.returncode == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_csv_headers_match_readme(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## CSV schemas")[1].split("\n\n")[1]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        names, columns = line.strip("|").split("|")
+        for name in names.split("/"):
+            documented[name.strip()] = columns.strip().strip("`")
+    assert set(documented) == set(cli._EXPERIMENTS)
+    for name in cli._EXPERIMENTS:
+        small = ["--m", "1"] if name == "regular_cx" else []
+        main([name, "--k", "1", "--n", "2000", *small, "--out", str(tmp_path / name)])
+        header = (tmp_path / f"{name}.csv").read_text().splitlines()[0]
+        assert header == documented[name], name
 
 
 def test_stdout_csv_when_no_out(capsys):

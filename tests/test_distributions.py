@@ -52,10 +52,6 @@ class NoClosedFormExp(ValueDistribution):
     def __init__(self, scale=1.0):
         self.scale = scale
 
-    @property
-    def support_hi(self):
-        return math.inf
-
     def cdf(self, x):
         return -np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
 
@@ -68,10 +64,6 @@ class NoClosedFormExp(ValueDistribution):
 
 class SubUnitHazard(ValueDistribution):
     """Pareto-type tail with x*h(x) = x/(2(1+x)) <= 1/2: no reserve exists."""
-
-    @property
-    def support_hi(self):
-        return math.inf
 
     def cdf(self, x):
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
@@ -252,6 +244,35 @@ def test_quantile_monotone_and_atom_mapping():
     assert np.all(x[u >= thresh] == 1.0)
 
 
+# parameter draws for each family of the record format
+FAMILY_DRAWS = {
+    "exponential": st.builds(Exponential, rate=st.floats(1e-3, 1e3)),
+    "uniform": st.builds(Uniform, hi=st.floats(1e-3, 1e3)),
+    "g": st.builds(
+        GFamily,
+        phi=st.floats(0.0, ALPHA),
+        r=st.floats(1e-3, 1e3),
+        eps=st.none() | st.floats(1e-9, 1.0),
+    ),
+    "p": st.builds(PFamily, eps=st.floats(1e-6, 1e3), r=st.floats(1e-3, 1e3)),
+}
+
+
+@given(
+    st.sampled_from(sorted(FAMILIES)).flatmap(lambda tag: FAMILY_DRAWS[tag]),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_quantile_nondecreasing(dist, draws):
+    # the draws plus the ulps around F(r-) and F(r), where the families switch branches
+    r = reserve_price(dist)
+    edges = np.array([cdf_left(dist, r), float(dist.cdf(r))])
+    near = edges[:, None] + np.arange(-4, 5) * np.spacing(edges)[:, None]
+    u = np.sort(np.concatenate([[0.0], draws, near.ravel()]))
+    x = np.asarray(dist.quantile(u[(u >= 0.0) & (u < 1.0)]))
+    assert np.all(np.diff(x) >= 0.0), dist
+
+
 def test_hazard_identity():
     for dist in CONTINUOUS:
         u = np.linspace(0.01, 0.95, 95)
@@ -265,9 +286,7 @@ def test_hazard_identity():
 
 def test_total_mass():
     for dist in CONTINUOUS + [PFamily(eps=0.1, r=1.0), PFamily(eps=3.0, r=0.5)]:
-        hi = dist.support_hi
-        if not math.isfinite(hi):
-            hi = float(dist.quantile(1.0 - 1e-12))
+        hi = float(dist.quantile(1.0 - 1e-12))  # leaves out at most 1e-12 of mass
         breaks = [loc for loc, _ in dist.atoms]
         if isinstance(dist, GFamily):
             breaks += [dist.t_knot, dist.r]

@@ -33,10 +33,12 @@ def test_estimate_deterministic():
     assert c != a
 
 
-def test_worker_count_independence():
+def test_worker_count_independence(monkeypatch):
     kwargs = dict(k=3, extra=2, t=1, n_trials=80_000, seed=77)
-    a = paired_compare(Exponential(1.0), threads=1, **kwargs)
-    b = paired_compare(Exponential(1.0), threads=4, **kwargs)
+    monkeypatch.setenv("MECH_EFF_THREADS", "1")
+    a = paired_compare(Exponential(1.0), **kwargs)
+    monkeypatch.setenv("MECH_EFF_THREADS", "4")
+    b = paired_compare(Exponential(1.0), **kwargs)
     assert a == b  # bitwise identical, not just close
 
 
@@ -216,11 +218,11 @@ def test_default_threads_follow_affinity(monkeypatch):
     monkeypatch.delenv("MECH_EFF_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert simulate._resolve_threads(None) == 3
+    assert simulate._resolve_threads() == 3
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)), raising=False)
-    assert simulate._resolve_threads(None) == 8
+    assert simulate._resolve_threads() == 8
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert simulate._resolve_threads(None) == 5
+    assert simulate._resolve_threads() == 5
     monkeypatch.setenv("MECH_EFF_THREADS", "2")
-    assert simulate._resolve_threads(None) == 2
+    assert simulate._resolve_threads() == 2
