@@ -254,25 +254,25 @@ def _paired_runner(auto_bound, row_check):
     """thm1/thm2: EMA with k bidders against RMA with m extra, per k."""
 
     def run(cfg, dist):
-        rows = []
-        for k in cfg.k:
-            extra = _resolve_m(cfg, k, auto_bound)
-            pc = simulate.paired_compare(dist, k, extra, cfg.t, cfg.n_trials, cfg.seed)
-            rows.append(
-                {
-                    "k": k,
-                    "t": cfg.t,
-                    "extra": extra,
-                    "n_trials": cfg.n_trials,
-                    "diff_mean": pc.diff_mean,
-                    "diff_std_err": pc.diff_std_err,
-                    "eff_ema_mean": pc.ema.mean,
-                    "eff_ema_std_err": pc.ema.std_err,
-                    "eff_rma_mean": pc.rma.mean,
-                    "eff_rma_std_err": pc.rma.std_err,
-                    "pass": row_check(pc),
-                }
-            )
+        extras = [_resolve_m(cfg, k, auto_bound) for k in cfg.k]
+        pairs = list(zip(cfg.k, extras))
+        pcs = simulate.paired_compare(dist, pairs, cfg.t, cfg.n_trials, cfg.seed)
+        rows = [
+            {
+                "k": k,
+                "t": cfg.t,
+                "extra": extra,
+                "n_trials": cfg.n_trials,
+                "diff_mean": pc.diff_mean,
+                "diff_std_err": pc.diff_std_err,
+                "eff_ema_mean": pc.ema.mean,
+                "eff_ema_std_err": pc.ema.std_err,
+                "eff_rma_mean": pc.rma.mean,
+                "eff_rma_std_err": pc.rma.std_err,
+                "pass": row_check(pc),
+            }
+            for k, extra, pc in zip(cfg.k, extras, pcs)
+        ]
         return rows, {"extra_by_k": {str(row["k"]): row["extra"] for row in rows}}
 
     return run
@@ -282,14 +282,17 @@ def _run_thm3(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
     eps_slack = 0.1
-    rows = []
+    plans = []
     for k in cfg.k:
         m = _resolve_m(cfg, k, analysis.upper_bound_m)
         s = analysis.multi_item_s(cfg.t, m, eps_slack)
-        gain_exact = analysis.multi_gain_exact(phi, r, m, s, cfg.t)
+        plans.append((k, m, s, analysis.multi_gain_exact(phi, r, m, s, cfg.t)))
+    pairs = [(k, m + s) for k, m, s, _ in plans]
+    pcs = simulate.paired_compare(dist, pairs, cfg.t, cfg.n_trials, cfg.seed)
+    rows = []
+    for (k, m, s, gain_exact), pc in zip(plans, pcs):
         gain_floor = r * cfg.t * (1.0 - phi**m)
         analytic_ok = gain_exact >= gain_floor - 1e-12
-        pc = simulate.paired_compare(dist, k, m + s, cfg.t, cfg.n_trials, cfg.seed)
         rows.append(
             {
                 "k": k,
@@ -342,8 +345,7 @@ def _run_regular_cx(cfg, dist):
 
 def _run_ratio(cfg, dist):
     rows = []
-    for k in cfg.k:
-        est = simulate.efficiency_ratio(dist, k, cfg.n_trials, cfg.seed)
+    for k, est in zip(cfg.k, simulate.efficiency_ratio(dist, cfg.k, cfg.n_trials, cfg.seed)):
         eff_floor = 1.0 - ALPHA**k
         rev_floor = 1.0 - ALPHA ** (k - 1)
         rows.append(
@@ -363,19 +365,18 @@ def _run_ratio(cfg, dist):
 
 
 def _run_bk(cfg, dist):
-    rows = []
-    for k in cfg.k:
-        pc = simulate.revenue_compare_bk(dist, k, cfg.n_trials, cfg.seed)
-        rows.append(
-            {
-                "k": k,
-                "diff_mean": pc.diff_mean,
-                "diff_std_err": pc.diff_std_err,
-                "rev_ema_mean": pc.ema.mean,
-                "rev_rma_mean": pc.rma.mean,
-                "pass": _not_below(pc.diff_mean, 0.0, pc.diff_std_err),
-            }
-        )
+    pcs = simulate.revenue_compare_bk(dist, cfg.k, cfg.n_trials, cfg.seed)
+    rows = [
+        {
+            "k": k,
+            "diff_mean": pc.diff_mean,
+            "diff_std_err": pc.diff_std_err,
+            "rev_ema_mean": pc.ema.mean,
+            "rev_rma_mean": pc.rma.mean,
+            "pass": _not_below(pc.diff_mean, 0.0, pc.diff_std_err),
+        }
+        for k, pc in zip(cfg.k, pcs)
+    ]
     return rows, {}
 
 
@@ -383,15 +384,17 @@ def _run_bk(cfg, dist):
 class _Experiment:
     """`run(cfg, dist)` gives the rows and extra JSON params; `defaults` are
     the config values the experiment starts from; it passes when `check`
-    holds on every row."""
+    holds on every row. Without `--out`, the CSV goes to stdout unless
+    `csv_to_stdout` is false (the runner prints its own result)."""
 
     run: Callable
     defaults: dict
     check: Callable = operator.itemgetter("pass")
+    csv_to_stdout: bool = True
 
 
 _EXPERIMENTS = {
-    "reserve": _Experiment(_run_reserve, {}, check=lambda row: True),
+    "reserve": _Experiment(_run_reserve, {}, check=lambda row: True, csv_to_stdout=False),
     "gainloss": _Experiment(_run_gainloss, {"k": "1..8"}),
     "bounds": _Experiment(
         _run_bounds, {"k": "1..100"}, check=lambda row: row["m_lower"] <= row["m_upper"]
@@ -452,7 +455,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         )
         print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {prefix.with_suffix('.csv')}")
     else:
-        if cfg.experiment != "reserve":
+        if experiment.csv_to_stdout:
             sys.stdout.write(csv_text)
         print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'}", file=sys.stderr)
     return 0 if passed else 1

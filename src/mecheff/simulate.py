@@ -6,16 +6,23 @@ and the reserve-price auction sees them all, so the difference estimator
 inherits the positive correlation of the shared draws.
 
 Both mechanisms read the same two order statistics of a value matrix: the
-t highest values and the (t+1)-th highest. `_select` takes them with one
-partition per matrix, and `_ema_stats`/`_rma_stats` turn that pair into
-per-trial efficiency and revenue; `auctions.ema`/`auctions.rma` are the
-per-bid reference the tests hold them to.
+t highest values and the (t+1)-th highest. Every `quantile` is
+nondecreasing (a `ValueDistribution` contract), so it maps the order
+statistics of the uniforms onto those of the values: `_select` takes them
+with one partition of the uniform matrix and sends only those t+1 columns
+through `quantile`. `_ema_stats`/`_rma_stats` turn that pair into per-trial
+efficiency and revenue; `auctions.ema`/`auctions.rma` are the per-bid
+reference the tests hold them to.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
-counter b << 192 under the run's seed. Every trial's draws are therefore a
-pure function of (seed, trial index), and partial sums are merged in batch
-order, so results are bitwise identical for any worker count. The
+counter b << 192 under the run's seed. The stream is one flat run of
+doubles, and a width-n config reads its first rows*n as a (rows, n)
+matrix, exactly what drawing that shape alone gives; so one draw per batch
+at the widest width feeds every row of an experiment. Every trial's draws
+are therefore a pure function of (seed, trial index, width), and partial
+sums are merged per config in batch order, so results are bitwise
+identical for any worker count and for any set of rows run together. The
 MECH_EFF_THREADS environment variable, the only thread control, caps the
 thread pool; absent, the pool has one thread per CPU in the process's
 affinity mask, at most 8.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -98,27 +106,32 @@ def _resolve_threads():
     return min(8, os.cpu_count() or 1)
 
 
-def _batch_uniforms(seed: int, batch_index: int, rows: int, cols: int):
+def _batch_uniforms(seed: int, batch_index: int, size):
     bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF, counter=batch_index << 192)
-    return np.random.Generator(bitgen).random((rows, cols))
+    return np.random.Generator(bitgen).random(size)
 
 
-def _moment_scan(dist, n_cols, n_trials, seed, stat_fn):
-    """First and second cross moments of the per-trial statistics.
+def _moment_scan(configs, n_trials, seed):
+    """First and second cross moments of the per-trial statistics, per config.
 
-    stat_fn maps a (rows, n_cols) value matrix to a tuple of per-trial stat
-    arrays. Returns (sum vector, cross-product matrix).
+    configs is a sequence of (n_cols, stat_fn); stat_fn maps a (rows, n_cols)
+    uniform matrix to a tuple of per-trial stat arrays. Each batch draws its
+    uniforms once, at the widest config. Returns one (sum vector,
+    cross-product matrix) per config, in order.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     n_batches = -(-n_trials // BATCH_TRIALS)
+    width = max(n_cols for n_cols, _ in configs)
 
     def one(b):
         rows = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
-        u = _batch_uniforms(seed, b, rows, n_cols)
-        values = np.asarray(dist.quantile(u))
-        stats = np.column_stack(stat_fn(values))
-        return stats.sum(axis=0), stats.T @ stats
+        flat = _batch_uniforms(seed, b, rows * width)
+        out = []
+        for n_cols, stat_fn in configs:
+            stats = np.column_stack(stat_fn(flat[: rows * n_cols].reshape(rows, n_cols)))
+            out.append((stats.sum(axis=0), stats.T @ stats))
+        return out
 
     workers = _resolve_threads()
     if workers > 1 and n_batches > 1:
@@ -127,12 +140,12 @@ def _moment_scan(dist, n_cols, n_trials, seed, stat_fn):
     else:
         parts = [one(b) for b in range(n_batches)]
 
-    s1, s2 = parts[0]
-    s1, s2 = s1.copy(), s2.copy()
-    for p1, p2 in parts[1:]:  # fixed batch order keeps the reduction deterministic
-        s1 += p1
-        s2 += p2
-    return s1, s2
+    moments = [(s1.copy(), s2.copy()) for s1, s2 in parts[0]]
+    for part in parts[1:]:  # fixed batch order keeps the reduction deterministic
+        for (s1, s2), (p1, p2) in zip(moments, part):
+            s1 += p1
+            s2 += p2
+    return moments
 
 
 def _estimate(s1_i, s2_ii, n, seed) -> Estimate:
@@ -161,13 +174,20 @@ def _paired(s1, s2, n, seed, a) -> PairedEstimate:
     )
 
 
-def _select(values, t):
-    """The t highest values per row and the (t+1)-th highest (0 if n <= t)."""
-    n = values.shape[1]
+def _select(u, t, quantile):
+    """The t highest values per row and the (t+1)-th highest (0 if n <= t).
+
+    `u` holds the uniforms. `quantile` is nondecreasing, so it maps the
+    uniforms' top t+1 onto the values' top t+1, and only those columns are
+    mapped. The top t come in the partition's column order, which fixes the
+    rounding of their sum when t >= 3.
+    """
+    n = u.shape[1]
     if n <= t:
-        return values, np.zeros(values.shape[0])
-    part = np.partition(values, n - t - 1, axis=1)
-    return part[:, n - t :], part[:, n - t - 1]
+        return np.asarray(quantile(u)), np.zeros(u.shape[0])
+    part = np.partition(u, n - t - 1, axis=1)
+    values = np.asarray(quantile(part[:, n - t - 1 :]))
+    return values[:, 1:], values[:, 0]
 
 
 def _ema_stats(top, runner_up):
@@ -199,15 +219,15 @@ def estimate_mechanism(
     if mech == "rma":
         r = reserve_price(dist)
 
-        def stat_fn(v):
-            return _rma_stats(*_select(v, t), r)
+        def stat_fn(u):
+            return _rma_stats(*_select(u, t, dist.quantile), r)
 
     else:
 
-        def stat_fn(v):
-            return _ema_stats(*_select(v, t))
+        def stat_fn(u):
+            return _ema_stats(*_select(u, t, dist.quantile))
 
-    s1, s2 = _moment_scan(dist, n_bidders, n_trials, seed, stat_fn)
+    [(s1, s2)] = _moment_scan([(n_bidders, stat_fn)], n_trials, seed)
     return MechanismEstimate(
         efficiency=_estimate(s1[0], s2[0, 0], n_trials, seed),
         revenue=_estimate(s1[1], s2[1, 1], n_trials, seed),
@@ -216,81 +236,93 @@ def estimate_mechanism(
 
 def paired_compare(
     dist: ValueDistribution,
-    k: int,
-    extra: int,
+    pairs: Sequence[tuple[int, int]],
     t: int,
     n_trials: int,
     seed: int,
-) -> PairedEstimate:
+) -> tuple[PairedEstimate, ...]:
     """Couple EMA(t) on the first k draws with RMA(t) on all k+extra.
 
-    diff_mean estimates Eff(RMA(k+extra)) - Eff(EMA(k)) on common draws;
-    its standard error uses the per-trial differences directly, so the
-    shared randomness cancels instead of inflating the noise. `ema` and
+    One estimate per (k, extra) pair, in order, all from one scan of the
+    draws. diff_mean estimates Eff(RMA(k+extra)) - Eff(EMA(k)) on common
+    draws; its standard error uses the per-trial differences directly, so
+    the shared randomness cancels instead of inflating the noise. `ema` and
     `rma` hold the two efficiency marginals.
     """
-    if k < 1 or extra < 0 or t < 1:
+    if not pairs or t < 1 or any(k < 1 or extra < 0 for k, extra in pairs):
         raise ValueError("need k >= 1, extra >= 0, t >= 1")
     r = reserve_price(dist)
 
-    def stat_fn(v):
-        eff_e, _ = _ema_stats(*_select(v[:, :k], t))
-        eff_r, _ = _rma_stats(*_select(v, t), r)
-        return eff_e, eff_r
+    def config(k, extra):
+        def stat_fn(u):
+            eff_e, _ = _ema_stats(*_select(u[:, :k], t, dist.quantile))
+            eff_r, _ = _rma_stats(*_select(u, t, dist.quantile), r)
+            return eff_e, eff_r
 
-    s1, s2 = _moment_scan(dist, k + extra, n_trials, seed, stat_fn)
-    return _paired(s1, s2, n_trials, seed, a=1)
+        return k + extra, stat_fn
+
+    moments = _moment_scan([config(k, extra) for k, extra in pairs], n_trials, seed)
+    return tuple(_paired(s1, s2, n_trials, seed, a=1) for s1, s2 in moments)
 
 
 def revenue_compare_bk(
     dist: ValueDistribution,
-    k: int,
+    ks: Sequence[int],
     n_trials: int,
     seed: int,
-) -> PairedEstimate:
+) -> tuple[PairedEstimate, ...]:
     """Paired estimate of Rev(EMA(k+1)) - Rev(RMA(k)) on common draws.
 
-    One extra bidder for the efficiency-maximizing auction is expected to
-    recover at least the reserve-price auction's revenue for regular value
+    One estimate per k, in order, all from one scan of the draws. One extra
+    bidder for the efficiency-maximizing auction is expected to recover at
+    least the reserve-price auction's revenue for regular value
     distributions. `ema` and `rma` hold the two revenue marginals.
     """
-    if k < 1:
+    if not ks or any(k < 1 for k in ks):
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
 
-    def stat_fn(v):
-        _, rev_e = _ema_stats(*_select(v, 1))
-        _, rev_r = _rma_stats(*_select(v[:, :k], 1), r)
-        return rev_e, rev_r
+    def config(k):
+        def stat_fn(u):
+            _, rev_e = _ema_stats(*_select(u, 1, dist.quantile))
+            _, rev_r = _rma_stats(*_select(u[:, :k], 1, dist.quantile), r)
+            return rev_e, rev_r
 
-    s1, s2 = _moment_scan(dist, k + 1, n_trials, seed, stat_fn)
-    return _paired(s1, s2, n_trials, seed, a=0)
+        return k + 1, stat_fn
+
+    moments = _moment_scan([config(k) for k in ks], n_trials, seed)
+    return tuple(_paired(s1, s2, n_trials, seed, a=0) for s1, s2 in moments)
 
 
 def efficiency_ratio(
     dist: ValueDistribution,
-    k: int,
+    ks: Sequence[int],
     n_trials: int,
     seed: int,
-) -> RatioEstimate:
+) -> tuple[RatioEstimate, ...]:
     """Eff(RMA(k))/Eff(EMA(k)) and Rev(EMA(k))/Rev(RMA(k)) at equal k.
 
-    Both mechanisms see the same k draws per trial. The efficiency ratio
-    is at least 1 - (1-1/e)^k for nondecreasing-hazard distributions; the
-    revenue ratio is at least 1 - (1-1/e)^(k-1).
+    One estimate per k, in order, all from one scan of the draws. Both
+    mechanisms see the same k draws per trial. The efficiency ratio is at
+    least 1 - (1-1/e)^k for nondecreasing-hazard distributions; the revenue
+    ratio is at least 1 - (1-1/e)^(k-1).
     """
-    if k < 1:
+    if not ks or any(k < 1 for k in ks):
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
 
-    def stat_fn(v):
-        top, runner_up = _select(v, 1)
+    def stat_fn(u):
+        top, runner_up = _select(u, 1, dist.quantile)
         eff_e, rev_e = _ema_stats(top, runner_up)
         eff_r, rev_r = _rma_stats(top, runner_up, r)
         return eff_e, eff_r, rev_e, rev_r
 
-    n = n_trials
-    s1, s2 = _moment_scan(dist, k, n, seed, stat_fn)
+    moments = _moment_scan([(k, stat_fn) for k in ks], n_trials, seed)
+    return tuple(_ratio(s1, s2, n_trials, seed) for s1, s2 in moments)
+
+
+def _ratio(s1, s2, n, seed) -> RatioEstimate:
+    """Ratio estimate from the moments of (eff EMA, eff RMA, rev EMA, rev RMA)."""
     means = s1 / n
 
     def ratio_with_err(num, den):

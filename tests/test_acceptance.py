@@ -144,7 +144,7 @@ def test_criterion_06_upper_bound_empirical():
     ok = True
     for dist in dists:
         for k in (1, 2, 5, 10):
-            pc = paired_compare(dist, k, upper_bound_m(k), 1, 1_000_000, seed=SEED)
+            (pc,) = paired_compare(dist, [(k, upper_bound_m(k))], 1, 1_000_000, seed=SEED)
             ok &= pc.diff_mean >= -3.0 * pc.diff_std_err
     elapsed = time.time() - t0
     _report(6, "enough extras recover efficiency (3 families, 1e6 trials)", ok, elapsed)
@@ -156,7 +156,7 @@ def test_criterion_07_lower_bound_empirical():
     g = GFamily(phi=ALPHA, r=1.0, eps=1e-6)
     ok = True
     for k in (3, 5, 8):
-        pc = paired_compare(g, k, lower_bound_m(k), 1, 10_000_000, seed=SEED)
+        (pc,) = paired_compare(g, [(k, lower_bound_m(k))], 1, 10_000_000, seed=SEED)
         ok &= pc.diff_mean < 0.0 and abs(pc.diff_mean) > 3.0 * pc.diff_std_err
     elapsed = time.time() - t0
     _report(7, "too-few extras strictly lose (extremal family, 1e7 trials)", ok, elapsed)
@@ -177,7 +177,7 @@ def test_criterion_08_multi_item():
     for dist in (Exponential(1.0), GFamily(phi=ALPHA, r=1.0, eps=1e-6)):
         for t in (2, 3):
             s = multi_item_s(t, m, 0.1)
-            pc = paired_compare(dist, k, m + s, t, 1_000_000, seed=SEED)
+            (pc,) = paired_compare(dist, [(k, m + s)], t, 1_000_000, seed=SEED)
             sim_ok &= pc.diff_mean >= -3.0 * pc.diff_std_err
     elapsed = time.time() - t0
     ok = analytic_ok and sim_ok
@@ -213,7 +213,7 @@ def test_criterion_10_ratio_claims():
     t0 = time.time()
     ok = True
     for k in (1, 2, 5, 10):
-        est = efficiency_ratio(Exponential(1.0), k, 1_000_000, seed=SEED)
+        (est,) = efficiency_ratio(Exponential(1.0), [k], 1_000_000, seed=SEED)
         ok &= est.eff_ratio >= 1.0 - ALPHA**k - 3.0 * est.eff_ratio_std_err
         ok &= est.rev_ratio >= 1.0 - ALPHA ** (k - 1) - 3.0 * est.rev_ratio_std_err
     elapsed = time.time() - t0
@@ -226,9 +226,9 @@ def test_criterion_11_one_extra_bidder_revenue():
     ok = True
     for dist in (Uniform(hi=1.0), Exponential(1.0)):
         for k in (1, 3, 5):
-            pc = revenue_compare_bk(dist, k, 1_000_000, seed=SEED)
+            (pc,) = revenue_compare_bk(dist, [k], 1_000_000, seed=SEED)
             ok &= pc.diff_mean >= -3.0 * pc.diff_std_err
-    pc = revenue_compare_bk(Uniform(hi=1.0), 1, 1_000_000, seed=SEED)
+    (pc,) = revenue_compare_bk(Uniform(hi=1.0), [1], 1_000_000, seed=SEED)
     # analytic values: E[min of 2] = 1/3 vs r(1-F(r)) = 1/4
     ok &= abs(pc.diff_mean - 1.0 / 12.0) <= 4.0 * pc.diff_std_err
     elapsed = time.time() - t0

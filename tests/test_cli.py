@@ -50,6 +50,20 @@ def test_reserve_prints_value(capsys):
     assert out.splitlines()[0] == "1.0"
 
 
+def test_csv_on_stdout_only_without_out(tmp_path, capsys):
+    # reserve prints its value instead of its CSV; every other experiment
+    # prints the CSV it would write to <out>.csv
+    out = tmp_path / "run"
+    assert main(["reserve", "--dist", "exponential:1"]) == 0
+    assert capsys.readouterr() == ("1.0\n", "reserve: PASS\n")
+    assert main(["reserve", "--dist", "exponential:1", "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"1.0\nreserve: PASS -> {out}.csv\n", "")
+    assert main(["bounds", "--k", "1..3", "--out", str(out)]) == 0
+    assert capsys.readouterr() == (f"bounds: PASS -> {out}.csv\n", "")
+    assert main(["bounds", "--k", "1..3"]) == 0
+    assert capsys.readouterr() == ((tmp_path / "run.csv").read_text(), "bounds: PASS\n")
+
+
 def test_bounds_spot_rows(tmp_path):
     out = tmp_path / "bounds"
     assert main(["bounds", "--k", "1..100", "--out", str(out)]) == 0

@@ -258,17 +258,20 @@ FAMILY_DRAWS = {
 }
 
 
+def branch_ulps(dist):
+    """The ulps around F(r-) and F(r), where the families switch branches."""
+    r = reserve_price(dist)
+    edges = np.array([cdf_left(dist, r), float(dist.cdf(r))])
+    return (edges[:, None] + np.arange(-4, 5) * np.spacing(edges)[:, None]).ravel()
+
+
 @given(
     st.sampled_from(sorted(FAMILIES)).flatmap(lambda tag: FAMILY_DRAWS[tag]),
     st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64),
 )
 @settings(max_examples=300, deadline=None)
 def test_quantile_nondecreasing(dist, draws):
-    # the draws plus the ulps around F(r-) and F(r), where the families switch branches
-    r = reserve_price(dist)
-    edges = np.array([cdf_left(dist, r), float(dist.cdf(r))])
-    near = edges[:, None] + np.arange(-4, 5) * np.spacing(edges)[:, None]
-    u = np.sort(np.concatenate([[0.0], draws, near.ravel()]))
+    u = np.sort(np.concatenate([[0.0], draws, branch_ulps(dist)]))
     x = np.asarray(dist.quantile(u[(u >= 0.0) & (u < 1.0)]))
     assert np.all(np.diff(x) >= 0.0), dist
 
