@@ -15,7 +15,6 @@ from .analysis import (
     multi_item_s,
     order_stat_cdf,
     q_poly,
-    q_prime,
     regular_counterexample_search,
     upper_bound_m,
 )

@@ -43,7 +43,6 @@ __all__ = [
     "gain",
     "gain_minus_loss_g",
     "q_poly",
-    "q_prime",
     "upper_bound_m",
     "lower_bound_m",
     "multi_item_s",
@@ -53,15 +52,22 @@ __all__ = [
 ]
 
 _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
+_MAX_TERMS = 10_000_000
+_LOG_CUTOFF = math.log(1e-20)
 
 
 def _tail_series(x, k: int):
     """S(x, k) = sum_{j>=1} x^j/(k+j), elementwise, truncated below 1e-20.
 
     Equals -( ln(1-x) + sum_{i<=k} x^i/i ) / x^k without cancellation.
-    Converges geometrically for 0 <= x < 1.
+    Converges geometrically for 0 <= x < 1. Raises DomainError up front,
+    rather than truncate, when the terms (which shrink in j) are still above
+    1e-20 at the `_MAX_TERMS`-th.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x_max = float(np.abs(arr).max(initial=0.0))  # NaN stays NaN and is refused
+    if x_max != 0.0 and not _MAX_TERMS * math.log(x_max) - math.log(k + _MAX_TERMS) <= _LOG_CUTOFF:
+        raise DomainError(f"S(x, {k}) at x = {x_max!r} needs over {_MAX_TERMS} terms")
     s = np.zeros_like(arr)
     p = np.ones_like(arr)
     j = 0
@@ -70,7 +76,7 @@ def _tail_series(x, k: int):
         p = p * arr
         term = p / (k + j)
         s += term
-        if float(term.max(initial=0.0)) <= 1e-20 or j >= 10_000_000:
+        if float(term.max(initial=0.0)) <= 1e-20:
             break
     return s if np.ndim(x) else float(s[0])
 
@@ -164,17 +170,6 @@ def q_poly(x, k: int, m: int):
     if np.any((arr < 0.0) | (arr >= 1.0)):
         raise DomainError("x must lie in [0, 1)")
     out = arr**k * (arr**m - _tail_series(arr, k))
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def q_prime(x, k: int, m: int):
-    """Derivative of q: (x^k/(1-x)) * ((k+m)*x^(m-1)*(1-x) - 1)."""
-    if k < 1 or m < 1:
-        raise ValueError("k and m must be at least 1")
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any((arr < 0.0) | (arr >= 1.0)):
-        raise DomainError("x must lie in [0, 1)")
-    out = arr**k / (1.0 - arr) * ((k + m) * arr ** (m - 1) * (1.0 - arr) - 1.0)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 

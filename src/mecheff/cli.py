@@ -314,7 +314,7 @@ def _run_thm3(cfg, dist):
 def _run_regular_cx(cfg, dist):
     r = 1.0
     margin_target = 1e-6 * r
-    ms = _parse_int_range(cfg.m if cfg.m != "auto" else "1..10", "m")
+    ms = _parse_int_range(cfg.m, "m")
     grid_u = 0.05 + 0.9 * np.arange(64) / 63
     rows = []
     for k in cfg.k:
@@ -414,7 +414,7 @@ _EXPERIMENTS = {
         {"k": [3, 5, 8], "distribution": {"family": "g", "phi": ALPHA, "r": 1.0, "eps": 1e-6}},
     ),
     "thm3": _Experiment(_run_thm3, {"k": [20]}),
-    "regular_cx": _Experiment(_run_regular_cx, {"k": "1..5"}),
+    "regular_cx": _Experiment(_run_regular_cx, {"k": "1..5", "m": "1..10"}),
     "ratio": _Experiment(_run_ratio, {"k": [1, 2, 5, 10]}),
     "bk": _Experiment(_run_bk, {"k": [1, 3, 5]}),
 }

@@ -9,10 +9,10 @@ Both mechanisms read the same two order statistics of a value matrix: the
 t highest values and the (t+1)-th highest. Every `quantile` is
 nondecreasing (a `ValueDistribution` contract), so it maps the order
 statistics of the uniforms onto those of the values: `_select` takes them
-with one partition of the uniform matrix and sends only those t+1 columns
-through `quantile`. `_ema_stats`/`_rma_stats` turn that pair into per-trial
-efficiency and revenue; `auctions.ema`/`auctions.rma` are the per-bid
-reference the tests hold them to.
+from one sort of each row of the uniform matrix and sends only those t+1
+columns through `quantile`. `_ema_stats`/`_rma_stats` turn that pair into
+per-trial efficiency and revenue, adding the top t highest first, as the
+per-bid reference `auctions.ema`/`auctions.rma` do.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
@@ -26,6 +26,11 @@ identical for any worker count and for any set of rows run together. The
 MECH_EFF_THREADS environment variable, the only thread control, caps the
 thread pool; absent, the pool has one thread per CPU in the process's
 affinity mask, at most 8.
+
+The bytes are fixed per numpy build, SIMD dispatch and BLAS kernel: the
+`Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`, and the
+BLAS kernel of each batch's cross-moment product (picked for the CPU, or by
+`OPENBLAS_CORETYPE`) sets the standard errors' last digits.
 """
 
 from __future__ import annotations
@@ -133,12 +138,8 @@ def _moment_scan(configs, n_trials, seed):
             out.append((stats.sum(axis=0), stats.T @ stats))
         return out
 
-    workers = _resolve_threads()
-    if workers > 1 and n_batches > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(one, range(n_batches)))
-    else:
-        parts = [one(b) for b in range(n_batches)]
+    with ThreadPoolExecutor(max_workers=_resolve_threads()) as pool:
+        parts = list(pool.map(one, range(n_batches)))
 
     moments = [(s1.copy(), s2.copy()) for s1, s2 in parts[0]]
     for part in parts[1:]:  # fixed batch order keeps the reduction deterministic
@@ -163,31 +164,27 @@ def _cov(s1, s2, n, i, j) -> float:
 def _paired(s1, s2, n, seed, a) -> PairedEstimate:
     """Paired estimate of stat a minus stat 1-a; stat 0 is EMA's, stat 1 RMA's."""
     b = 1 - a
-    diff_mean = (s1[a] - s1[b]) / n
-    sum_d2 = s2[a, a] + s2[b, b] - 2.0 * s2[0, 1]
-    var_d = (sum_d2 - n * diff_mean * diff_mean) / (n - 1) if n > 1 else 0.0
+    diff = _estimate(s1[a] - s1[b], s2[a, a] + s2[b, b] - 2.0 * s2[0, 1], n, seed)
     return PairedEstimate(
-        diff_mean=float(diff_mean),
-        diff_std_err=math.sqrt(max(0.0, var_d) / n),
+        diff_mean=diff.mean,
+        diff_std_err=diff.std_err,
         ema=_estimate(s1[0], s2[0, 0], n, seed),
         rma=_estimate(s1[1], s2[1, 1], n, seed),
     )
 
 
 def _select(u, t, quantile):
-    """The t highest values per row and the (t+1)-th highest (0 if n <= t).
+    """The t highest values per row, highest first, and the (t+1)-th highest
+    (0 if n <= t).
 
     `u` holds the uniforms. `quantile` is nondecreasing, so it maps the
-    uniforms' top t+1 onto the values' top t+1, and only those columns are
-    mapped. The top t come in the partition's column order, which fixes the
-    rounding of their sum when t >= 3.
+    uniforms' top t+1, read off one sort of each row, onto the values' top
+    t+1, and only those columns are mapped. numpy sums a row of fewer than
+    8 terms left to right, as `auctions` adds its winners.
     """
     n = u.shape[1]
-    if n <= t:
-        return np.asarray(quantile(u)), np.zeros(u.shape[0])
-    part = np.partition(u, n - t - 1, axis=1)
-    values = np.asarray(quantile(part[:, n - t - 1 :]))
-    return values[:, 1:], values[:, 0]
+    desc = np.asarray(quantile(np.sort(u, axis=1)[:, max(0, n - t - 1) :]))[:, ::-1]
+    return desc[:, :t], desc[:, t] if n > t else np.zeros(len(u))
 
 
 def _ema_stats(top, runner_up):

@@ -110,6 +110,16 @@ def test_regular_cx_small(tmp_path):
     assert all(row["mhr_violated"] for row in summary["rows"])
 
 
+def test_regular_cx_default_m_is_what_ran(tmp_path):
+    # the default m range lives in the experiment's table entry, so the JSON
+    # echoes it; regular_cx has no bound for "auto" to resolve to
+    assert main(["regular_cx", "--k", "1", "--out", str(tmp_path / "cx")]) == 0
+    summary = json.loads((tmp_path / "cx.json").read_text())
+    assert summary["params"]["m"] == "1..10"
+    assert [row["m"] for row in summary["rows"]] == list(range(1, 11))
+    assert main(["regular_cx", "--k", "1", "--m", "auto"]) == 2
+
+
 def test_ratio_and_bk_smoke(tmp_path):
     assert main(["ratio", "--dist", "exponential:1", "--k", "2", "--n", "50000",
                  "--seed", "5", "--out", str(tmp_path / "r")]) == 0

@@ -1,14 +1,26 @@
+import hashlib
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from mecheff import auctions, simulate
 from mecheff.analysis import ALPHA, lower_bound_m, upper_bound_m
-from mecheff.distributions import FAMILIES, Exponential, GFamily, PFamily, Uniform
+from mecheff.distributions import (
+    FAMILIES,
+    Exponential,
+    GFamily,
+    PFamily,
+    Uniform,
+    reserve_price,
+)
 from mecheff.errors import NoRoot
 from mecheff.simulate import (
     BATCH_TRIALS,
@@ -206,15 +218,10 @@ def test_batched_stats_match_per_bid_auctions(batch):
     top, runner_up = _select(values, t, lambda v: v)  # the bids are their own quantile
     eff_e, rev_e = _ema_stats(top, runner_up)
     eff_r, rev_r = _rma_stats(top, runner_up, reserve)
-
-    def same(batched, scalar):
-        # up to two summands add in any order exactly; longer sums may not
-        return batched == scalar if t <= 2 else batched == pytest.approx(scalar, rel=1e-12)
-
     for i, bids in enumerate(values.tolist()):
         e, r = auctions.ema(bids, t), auctions.rma(bids, t, reserve)
-        assert same(eff_e[i], e.efficiency) and rev_e[i] == e.revenue
-        assert same(eff_r[i], r.efficiency) and rev_r[i] == r.revenue
+        assert eff_e[i] == e.efficiency and rev_e[i] == e.revenue
+        assert eff_r[i] == r.efficiency and rev_r[i] == r.revenue
 
 
 @st.composite
@@ -235,12 +242,13 @@ def uniforms_near_branches(draw):
 @settings(max_examples=300, deadline=None)
 def test_uniform_space_selection_matches_sorted_values(case):
     # a nondecreasing quantile maps the uniforms' order statistics onto the
-    # values', so selecting before mapping loses nothing, bit for bit
+    # values', so selecting before mapping loses nothing, bit for bit; the
+    # top t come highest first
     dist, u, t = case
     top, runner_up = _select(u, t, dist.quantile)
     values = np.sort(np.asarray(dist.quantile(u)), axis=1)
     n = u.shape[1]
-    assert np.array_equal(np.sort(top, axis=1), values[:, max(0, n - t) :])
+    assert np.array_equal(top, values[:, ::-1][:, :t])
     assert np.array_equal(runner_up, values[:, n - t - 1] if n > t else np.zeros(len(u)))
 
 
@@ -263,6 +271,47 @@ def test_rows_run_together_equal_rows_run_alone():
     for compare in (efficiency_ratio, revenue_compare_bk):
         together = compare(dist, ks, n, seed=18)
         assert together == tuple(compare(dist, [k], n, seed=18)[0] for k in ks)
+
+
+def dispatch_digest():
+    """SHA-256 of t >= 3 comparisons on the two families whose quantiles use no
+    transcendental function, after checking that the batched stats of a
+    uniform matrix do not change when its columns are permuted."""
+    h = hashlib.sha256()
+    for dist in (Uniform(hi=1.0), PFamily(eps=0.5, r=1.0)):
+        for t in (3, 5, 9):
+            h.update(repr(paired_compare(dist, [(20, 20)], t, 20_000, seed=7)).encode())
+        r = reserve_price(dist)
+        for n, t in ((12, 3), (40, 5), (40, 9)):
+            u = _batch_uniforms(7, 0, (4096, n))
+            # row-major like every matrix `_moment_scan` passes: numpy sums rows
+            # of 8 or more terms in blocks that follow the memory layout
+            permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
+            stats = []
+            for cols in (u, permuted):
+                top, runner_up = _select(cols, t, dist.quantile)
+                stats.append((*_ema_stats(top, runner_up), *_rma_stats(top, runner_up, r)))
+            assert all(np.array_equal(a, b) for a, b in zip(*stats)), (dist, n, t)
+            h.update(b"".join(stat.tobytes() for stat in stats[0]))
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(not __cpu_features__.get("AVX512F"), reason="no AVX-512 dispatch to disable")
+def test_bytes_do_not_depend_on_simd_dispatch():
+    # a child on numpy's baseline kernels (no AVX2/AVX-512 sort, partition or
+    # arithmetic) must reproduce this process's bytes
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
+    code = "from test_simulate import dispatch_digest; print(dispatch_digest())"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == dispatch_digest()
 
 
 def test_default_threads_follow_affinity(monkeypatch):
