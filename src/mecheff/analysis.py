@@ -54,6 +54,8 @@ __all__ = [
 _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
 _MAX_TERMS = 10_000_000
 _LOG_CUTOFF = math.log(1e-20)
+_BLOCKS_BELOW = 1024
+_BLOCK_ELEMS = 1 << 16
 
 
 def _tail_series(x, k: int):
@@ -63,6 +65,13 @@ def _tail_series(x, k: int):
     Converges geometrically for 0 <= x < 1. Raises DomainError up front,
     rather than truncate, when the terms (which shrink in j) are still above
     1e-20 at the `_MAX_TERMS`-th.
+
+    The sum runs term by term and stops at the first j whose largest term is
+    <= 1e-20. numpy vectorises an op across an array but runs `accumulate`
+    one element at a time, so an x of fewer than `_BLOCKS_BELOW` elements
+    takes a block of terms per step instead: `np.multiply.accumulate` and
+    `np.add.accumulate` fold the powers and partial sums down the block in
+    the loop's order, bit for bit.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     x_max = float(np.abs(arr).max(initial=0.0))  # NaN stays NaN and is refused
@@ -71,13 +80,34 @@ def _tail_series(x, k: int):
     s = np.zeros_like(arr)
     p = np.ones_like(arr)
     j = 0
+    if arr.size >= _BLOCKS_BELOW:
+        while True:
+            j += 1
+            p = p * arr
+            term = p / (k + j)
+            s += term
+            if float(term.max(initial=0.0)) <= 1e-20:
+                break
+        return s
+    s, p, flat = s.ravel(), p.ravel(), arr.ravel()
+    # |x|^j <= 1e-20 from j = ln(1e-20)/ln|x| on, so one block often holds every term
+    need = _LOG_CUTOFF / math.log(x_max) if 0.0 < x_max < 1.0 else 1.0
+    block = 1 + int(min(need, _BLOCK_ELEMS // max(1, flat.size)))
     while True:
-        j += 1
-        p = p * arr
-        term = p / (k + j)
-        s += term
-        if float(term.max(initial=0.0)) <= 1e-20:
+        powers = np.empty((block, flat.size))
+        powers[0] = p * flat
+        powers[1:] = flat
+        np.multiply.accumulate(powers, axis=0, out=powers)
+        terms = powers / np.arange(k + j + 1, k + j + block + 1, dtype=np.float64)[:, None]
+        small = np.flatnonzero(terms.max(axis=1, initial=0.0) <= 1e-20)
+        used = small[0] + 1 if small.size else block
+        terms[0] += s
+        s = np.add.accumulate(terms[:used], axis=0)[-1]
+        if small.size:
             break
+        p = powers[-1]
+        j += block
+    s = s.reshape(arr.shape)
     return s if np.ndim(x) else float(s[0])
 
 

@@ -8,11 +8,12 @@ inherits the positive correlation of the shared draws.
 Both mechanisms read the same two order statistics of a value matrix: the
 t highest values and the (t+1)-th highest. Every `quantile` is
 nondecreasing (a `ValueDistribution` contract), so it maps the order
-statistics of the uniforms onto those of the values: `_select` takes them
-from one sort of each row of the uniform matrix and sends only those t+1
-columns through `quantile`. `_ema_stats`/`_rma_stats` turn that pair into
-per-trial efficiency and revenue, adding the top t highest first, as the
-per-bid reference `auctions.ema`/`auctions.rma` do.
+statistics of the uniforms onto those of the values: `_select` keeps each
+row's top t+1 uniforms in registers through one compare-exchange pass over
+the columns, reads them at every prefix width a comparison needs, and
+sends only those t+1 columns through `quantile`. `_ema_stats`/`_rma_stats`
+turn that pair into per-trial efficiency and revenue, adding the top t
+highest first, as the per-bid reference `auctions.ema`/`auctions.rma` do.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
@@ -173,18 +174,35 @@ def _paired(s1, s2, n, seed, a) -> PairedEstimate:
     )
 
 
-def _select(u, t, quantile):
+def _select(u, t, quantile, widths=None):
     """The t highest values per row, highest first, and the (t+1)-th highest
-    (0 if n <= t).
+    (0 if n <= t); with `widths`, one such pair per prefix `u[:, :w]`.
 
-    `u` holds the uniforms. `quantile` is nondecreasing, so it maps the
-    uniforms' top t+1, read off one sort of each row, onto the values' top
-    t+1, and only those columns are mapped. numpy sums a row of fewer than
-    8 terms left to right, as `auctions` adds its winners.
+    `u` holds the uniforms and `widths` is ascending; repeats get the same
+    pair. One pass over the columns keeps each row's top t+1 uniforms in
+    registers, highest first, by compare-exchange with `np.maximum` and
+    `np.minimum` (Knuth, TAOCP vol. 3, 5.3.4), which select exactly the
+    values a sort would. `quantile` is nondecreasing, so it maps the
+    registers onto the values' top t+1, and only those columns are mapped.
+    numpy sums a row of fewer than 8 terms left to right, as `auctions`
+    adds its winners.
     """
-    n = u.shape[1]
-    desc = np.asarray(quantile(np.sort(u, axis=1)[:, max(0, n - t - 1) :]))[:, ::-1]
-    return desc[:, :t], desc[:, t] if n > t else np.zeros(len(u))
+    rows, n = u.shape
+    want = widths or (n,)
+    regs, pairs = [], []
+    for j, x in enumerate(np.ascontiguousarray(u.T), 1):
+        for i, reg in enumerate(regs):
+            if i == t:  # the last register only keeps the larger
+                regs[t] = np.maximum(reg, x)
+                break
+            regs[i], x = np.maximum(reg, x), np.minimum(reg, x)
+        else:  # fewer than t+1 columns seen: x is the lowest so far
+            regs.append(x)
+        if j in want:
+            desc = np.asarray(quantile(np.stack(regs, axis=1)))
+            runner_up = desc[:, t] if j > t else np.zeros(rows)
+            pairs += [(desc[:, :t], runner_up)] * want.count(j)
+    return tuple(pairs) if widths else pairs[0]
 
 
 def _ema_stats(top, runner_up):
@@ -252,8 +270,9 @@ def paired_compare(
 
     def config(k, extra):
         def stat_fn(u):
-            eff_e, _ = _ema_stats(*_select(u[:, :k], t, dist.quantile))
-            eff_r, _ = _rma_stats(*_select(u, t, dist.quantile), r)
+            ema, rma = _select(u, t, dist.quantile, (k, k + extra))
+            eff_e, _ = _ema_stats(*ema)
+            eff_r, _ = _rma_stats(*rma, r)
             return eff_e, eff_r
 
         return k + extra, stat_fn
@@ -281,8 +300,9 @@ def revenue_compare_bk(
 
     def config(k):
         def stat_fn(u):
-            _, rev_e = _ema_stats(*_select(u, 1, dist.quantile))
-            _, rev_r = _rma_stats(*_select(u[:, :k], 1, dist.quantile), r)
+            rma, ema = _select(u, 1, dist.quantile, (k, k + 1))
+            _, rev_e = _ema_stats(*ema)
+            _, rev_r = _rma_stats(*rma, r)
             return rev_e, rev_r
 
         return k + 1, stat_fn

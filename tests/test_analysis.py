@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mecheff.analysis import (
     ALPHA,
+    _tail_series,
     gain,
     gain_minus_loss_g,
     loss_closed_form_g,
@@ -30,6 +31,22 @@ from mecheff.errors import DegenerateConditioning, DomainError, SearchExhausted
 def q_literal(x, k, m):
     """The series exactly as written, with compensated summation."""
     return math.fsum([x ** (k + m), math.log1p(-x)] + [x**i / i for i in range(1, k + 1)])
+
+
+def tail_series_by_terms(x, k):
+    """S(x, k) = sum_j x^j/(k+j) one term at a time, stopping at the first
+    j whose largest term is <= 1e-20."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    s = np.zeros_like(arr)
+    p = np.ones_like(arr)
+    j = 0
+    while True:
+        j += 1
+        p = p * arr
+        term = p / (k + j)
+        s += term
+        if float(term.max(initial=0.0)) <= 1e-20:
+            return s if np.ndim(x) else float(s[0])
 
 
 def loss_literal(phi, r, k):
@@ -210,6 +227,25 @@ def test_q_refuses_a_series_it_would_truncate():
         with pytest.raises(DomainError):
             q_poly(x, 1, 3)
         assert time.perf_counter() - start < 1.0
+
+
+def test_q_just_inside_the_refusal_is_fast():
+    # about 8.6e6 terms; the closed form is well conditioned this close to 1
+    x = 1.0 - 3.5e-6
+    start = time.perf_counter()
+    q = q_poly(x, 1, 1)
+    assert time.perf_counter() - start < 5.0
+    s_closed = -(math.log1p(-x) + x) / x
+    assert _tail_series(x, 1) == pytest.approx(s_closed, rel=1e-9)
+    assert q == pytest.approx(x * (x - s_closed), rel=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 5, 128])
+def test_tail_series_sums_the_terms_in_loop_order(k):
+    xs = np.linspace(0.0, 1.0 - 1.0 / math.e, 257)
+    assert np.array_equal(_tail_series(xs, k), tail_series_by_terms(xs, k))
+    for x in (0.0, 0.3, ALPHA, 0.99):
+        assert _tail_series(x, k) == tail_series_by_terms(x, k)
 
 
 def test_q_sign_structure_spot():

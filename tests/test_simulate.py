@@ -200,7 +200,7 @@ def test_multi_item_paired_compare():
 def tie_heavy_batch(draw):
     """(values, t, reserve): rows of n bids on a 0.1 grid, or P-family draws
     whose atom at the reserve carries a third to a half of the mass."""
-    n, t, rows = draw(st.integers(1, 9)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n, t, rows = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
     if draw(st.booleans()):
         grid = st.lists(st.integers(0, 20), min_size=n, max_size=n)
         values = np.array(draw(st.lists(grid, min_size=rows, max_size=rows))) / 10.0
@@ -232,7 +232,7 @@ def uniforms_near_branches(draw):
     dist = draw(st.sampled_from(sorted(FAMILIES)).flatmap(lambda tag: FAMILY_DRAWS[tag]))
     near = branch_ulps(dist)
     near = near[(near >= 0.0) & (near < 1.0)].tolist()
-    n, t, rows = draw(st.integers(1, 12)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n, t, rows = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
     entry = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(near)
     u = draw(st.lists(entry, min_size=rows * n, max_size=rows * n))
     return dist, np.array(u).reshape(rows, n), t
@@ -250,6 +250,30 @@ def test_uniform_space_selection_matches_sorted_values(case):
     n = u.shape[1]
     assert np.array_equal(top, values[:, ::-1][:, :t])
     assert np.array_equal(runner_up, values[:, n - t - 1] if n > t else np.zeros(len(u)))
+
+
+@st.composite
+def prefix_widths(draw):
+    """(dist, u, t, widths): a `uniforms_near_branches` case with t in 1..5
+    and ascending prefix widths, repeats allowed."""
+    dist, u, _ = draw(uniforms_near_branches())
+    width = st.integers(1, u.shape[1])
+    widths = draw(st.lists(width, min_size=1, max_size=6).map(sorted))
+    return dist, u, draw(st.integers(1, 5)), tuple(widths)
+
+
+@given(prefix_widths())
+@settings(max_examples=300, deadline=None)
+def test_prefix_selection_equals_selecting_the_prefix(case):
+    # one pass over the columns yields every prefix's selection, bit for bit
+    dist, u, t, widths = case
+    pairs = _select(u, t, dist.quantile, widths)
+    assert len(pairs) == len(widths)
+    for (top, runner_up), w in zip(pairs, widths):
+        alone_top, alone_runner_up = _select(u[:, :w], t, dist.quantile)
+        assert top.shape == alone_top.shape == (len(u), min(w, t))
+        assert np.array_equal(top, alone_top)
+        assert np.array_equal(runner_up, alone_runner_up)
 
 
 @pytest.mark.parametrize("rows", [BATCH_TRIALS, 1000])  # a full batch and a short last one
@@ -298,7 +322,7 @@ def dispatch_digest():
 
 @pytest.mark.skipif(not __cpu_features__.get("AVX512F"), reason="no AVX-512 dispatch to disable")
 def test_bytes_do_not_depend_on_simd_dispatch():
-    # a child on numpy's baseline kernels (no AVX2/AVX-512 sort, partition or
+    # a child on numpy's baseline kernels (no AVX2/AVX-512 maximum, minimum or
     # arithmetic) must reproduce this process's bytes
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"}
     code = "from test_simulate import dispatch_digest; print(dispatch_digest())"
