@@ -54,7 +54,6 @@ __all__ = [
 _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
 _MAX_TERMS = 10_000_000
 _LOG_CUTOFF = math.log(1e-20)
-_BLOCKS_BELOW = 1024
 _BLOCK_ELEMS = 1 << 16
 
 
@@ -66,30 +65,21 @@ def _tail_series(x, k: int):
     rather than truncate, when the terms (which shrink in j) are still above
     1e-20 at the `_MAX_TERMS`-th.
 
-    The sum runs term by term and stops at the first j whose largest term is
-    <= 1e-20. numpy vectorises an op across an array but runs `accumulate`
-    one element at a time, so an x of fewer than `_BLOCKS_BELOW` elements
-    takes a block of terms per step instead: `np.multiply.accumulate` and
-    `np.add.accumulate` fold the powers and partial sums down the block in
-    the loop's order, bit for bit.
+    The sum stops at the first j whose largest term is <= 1e-20. It takes a
+    block of terms per step: `np.multiply.accumulate` and `np.add.accumulate`
+    fold the powers and partial sums down the block one term at a time, so
+    the result equals a term-by-term loop bit for bit, without a Python step
+    per term. accumulate runs each element's chain serially, so on an x of
+    thousands of elements this is slower than a loop vectorised across x.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     x_max = float(np.abs(arr).max(initial=0.0))  # NaN stays NaN and is refused
     if x_max != 0.0 and not _MAX_TERMS * math.log(x_max) - math.log(k + _MAX_TERMS) <= _LOG_CUTOFF:
         raise DomainError(f"S(x, {k}) at x = {x_max!r} needs over {_MAX_TERMS} terms")
-    s = np.zeros_like(arr)
-    p = np.ones_like(arr)
+    flat = arr.ravel()
+    s = np.zeros_like(flat)
+    p = np.ones_like(flat)
     j = 0
-    if arr.size >= _BLOCKS_BELOW:
-        while True:
-            j += 1
-            p = p * arr
-            term = p / (k + j)
-            s += term
-            if float(term.max(initial=0.0)) <= 1e-20:
-                break
-        return s
-    s, p, flat = s.ravel(), p.ravel(), arr.ravel()
     # |x|^j <= 1e-20 from j = ln(1e-20)/ln|x| on, so one block often holds every term
     need = _LOG_CUTOFF / math.log(x_max) if 0.0 < x_max < 1.0 else 1.0
     block = 1 + int(min(need, _BLOCK_ELEMS // max(1, flat.size)))

@@ -174,21 +174,19 @@ def _paired(s1, s2, n, seed, a) -> PairedEstimate:
     )
 
 
-def _select(u, t, quantile, widths=None):
-    """The t highest values per row, highest first, and the (t+1)-th highest
-    (0 if n <= t); with `widths`, one such pair per prefix `u[:, :w]`.
+def _select(u, t, quantile, widths):
+    """Per prefix `u[:, :w]` of the uniforms, one pair: each row's min(t, w)
+    highest values, highest first, and its (t+1)-th highest (0 if w <= t).
 
-    `u` holds the uniforms and `widths` is ascending; repeats get the same
-    pair. One pass over the columns keeps each row's top t+1 uniforms in
-    registers, highest first, by compare-exchange with `np.maximum` and
-    `np.minimum` (Knuth, TAOCP vol. 3, 5.3.4), which select exactly the
-    values a sort would. `quantile` is nondecreasing, so it maps the
-    registers onto the values' top t+1, and only those columns are mapped.
-    numpy sums a row of fewer than 8 terms left to right, as `auctions`
-    adds its winners.
+    `widths` is ascending; repeats get the same pair. One pass over the
+    columns keeps each row's top t+1 uniforms in registers, highest first,
+    by compare-exchange with `np.maximum` and `np.minimum` (Knuth, TAOCP
+    vol. 3, 5.3.4), which select exactly the values a sort would.
+    `quantile` is nondecreasing, so it maps the registers onto the values'
+    top t+1, and only those columns are mapped. numpy sums a row of fewer
+    than 8 terms left to right, as `auctions` adds its winners.
     """
-    rows, n = u.shape
-    want = widths or (n,)
+    rows = len(u)
     regs, pairs = [], []
     for j, x in enumerate(np.ascontiguousarray(u.T), 1):
         for i, reg in enumerate(regs):
@@ -198,11 +196,11 @@ def _select(u, t, quantile, widths=None):
             regs[i], x = np.maximum(reg, x), np.minimum(reg, x)
         else:  # fewer than t+1 columns seen: x is the lowest so far
             regs.append(x)
-        if j in want:
+        if j in widths:
             desc = np.asarray(quantile(np.stack(regs, axis=1)))
             runner_up = desc[:, t] if j > t else np.zeros(rows)
-            pairs += [(desc[:, :t], runner_up)] * want.count(j)
-    return tuple(pairs) if widths else pairs[0]
+            pairs += [(desc[:, :t], runner_up)] * widths.count(j)
+    return tuple(pairs)
 
 
 def _ema_stats(top, runner_up):
@@ -235,12 +233,14 @@ def estimate_mechanism(
         r = reserve_price(dist)
 
         def stat_fn(u):
-            return _rma_stats(*_select(u, t, dist.quantile), r)
+            [pair] = _select(u, t, dist.quantile, (n_bidders,))
+            return _rma_stats(*pair, r)
 
     else:
 
         def stat_fn(u):
-            return _ema_stats(*_select(u, t, dist.quantile))
+            [pair] = _select(u, t, dist.quantile, (n_bidders,))
+            return _ema_stats(*pair)
 
     [(s1, s2)] = _moment_scan([(n_bidders, stat_fn)], n_trials, seed)
     return MechanismEstimate(
@@ -329,7 +329,7 @@ def efficiency_ratio(
     r = reserve_price(dist)
 
     def stat_fn(u):
-        top, runner_up = _select(u, 1, dist.quantile)
+        [(top, runner_up)] = _select(u, 1, dist.quantile, (u.shape[1],))
         eff_e, rev_e = _ema_stats(top, runner_up)
         eff_r, rev_r = _rma_stats(top, runner_up, r)
         return eff_e, eff_r, rev_e, rev_r

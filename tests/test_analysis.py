@@ -242,8 +242,11 @@ def test_q_just_inside_the_refusal_is_fast():
 
 @pytest.mark.parametrize("k", [1, 5, 128])
 def test_tail_series_sums_the_terms_in_loop_order(k):
-    xs = np.linspace(0.0, 1.0 - 1.0 / math.e, 257)
-    assert np.array_equal(_tail_series(xs, k), tail_series_by_terms(xs, k))
+    for n in (257, 10_000):  # the q_poly scan's grid and criterion 4's
+        xs = np.linspace(0.0, 1.0 - 1.0 / math.e, n)
+        assert np.array_equal(_tail_series(xs, k), tail_series_by_terms(xs, k))
+    grid = xs[:9_999].reshape(99, 101)
+    assert np.array_equal(_tail_series(grid, k), tail_series_by_terms(grid, k))
     for x in (0.0, 0.3, ALPHA, 0.99):
         assert _tail_series(x, k) == tail_series_by_terms(x, k)
 

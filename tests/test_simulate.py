@@ -215,7 +215,8 @@ def tie_heavy_batch(draw):
 @settings(max_examples=300, deadline=None)
 def test_batched_stats_match_per_bid_auctions(batch):
     values, t, reserve = batch
-    top, runner_up = _select(values, t, lambda v: v)  # the bids are their own quantile
+    # the bids are their own quantile
+    [(top, runner_up)] = _select(values, t, lambda v: v, (values.shape[1],))
     eff_e, rev_e = _ema_stats(top, runner_up)
     eff_r, rev_r = _rma_stats(top, runner_up, reserve)
     for i, bids in enumerate(values.tolist()):
@@ -245,9 +246,9 @@ def test_uniform_space_selection_matches_sorted_values(case):
     # values', so selecting before mapping loses nothing, bit for bit; the
     # top t come highest first
     dist, u, t = case
-    top, runner_up = _select(u, t, dist.quantile)
-    values = np.sort(np.asarray(dist.quantile(u)), axis=1)
     n = u.shape[1]
+    [(top, runner_up)] = _select(u, t, dist.quantile, (n,))
+    values = np.sort(np.asarray(dist.quantile(u)), axis=1)
     assert np.array_equal(top, values[:, ::-1][:, :t])
     assert np.array_equal(runner_up, values[:, n - t - 1] if n > t else np.zeros(len(u)))
 
@@ -270,7 +271,7 @@ def test_prefix_selection_equals_selecting_the_prefix(case):
     pairs = _select(u, t, dist.quantile, widths)
     assert len(pairs) == len(widths)
     for (top, runner_up), w in zip(pairs, widths):
-        alone_top, alone_runner_up = _select(u[:, :w], t, dist.quantile)
+        [(alone_top, alone_runner_up)] = _select(u[:, :w], t, dist.quantile, (w,))
         assert top.shape == alone_top.shape == (len(u), min(w, t))
         assert np.array_equal(top, alone_top)
         assert np.array_equal(runner_up, alone_runner_up)
@@ -313,7 +314,7 @@ def dispatch_digest():
             permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
             stats = []
             for cols in (u, permuted):
-                top, runner_up = _select(cols, t, dist.quantile)
+                [(top, runner_up)] = _select(cols, t, dist.quantile, (n,))
                 stats.append((*_ema_stats(top, runner_up), *_rma_stats(top, runner_up, r)))
             assert all(np.array_equal(a, b) for a, b in zip(*stats)), (dist, n, t)
             h.update(b"".join(stat.tobytes() for stat in stats[0]))
