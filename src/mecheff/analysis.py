@@ -27,7 +27,10 @@ whose terms are single-signed.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -108,7 +111,9 @@ def order_stat_cdf(dist: ValueDistribution, k: int, x) -> float:
     return dist.cdf(x) ** k
 
 
-def loss_numeric(dist: ValueDistribution, k: int, method: str = "cdf") -> float:
+def loss_numeric(
+    dist: ValueDistribution, k: int | Sequence[int], method: str = "cdf"
+) -> float | tuple[float, ...]:
     """Expected best-of-k value conditioned on all k falling below the reserve.
 
     Evaluated by adaptive quadrature of the conditioned order-statistic
@@ -119,11 +124,22 @@ def loss_numeric(dist: ValueDistribution, k: int, method: str = "cdf") -> float:
     so the absolute quadrature tolerance (1e-10) carries over to the
     conditional value.
 
+    `k` is an int, giving a float, or a sequence of ints (a k sweep),
+    giving a tuple with one loss per k in order. Each k keeps its own
+    Simpson tree, so a sweep returns exactly the floats of its per-k calls;
+    the trees refine the same grid, and the sweep evaluates the cdf (and
+    for `density` the pdf) once per distinct node, remembered only for the
+    length of the call.
+
     Raises DegenerateConditioning when the below-reserve event has
     probability under 1e-12 (the conditional loss is 0 in the limit).
     """
-    if k < 1:
+    scalar = np.ndim(k) == 0
+    ks = [operator.index(j) for j in ((k,) if scalar else k)]
+    if any(j < 1 for j in ks):
         raise ValueError("k must be at least 1")
+    if method not in ("cdf", "density"):
+        raise ValueError(f"method must be 'cdf' or 'density', got {method!r}")
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
     if phi < 1e-12:
@@ -132,22 +148,20 @@ def loss_numeric(dist: ValueDistribution, k: int, method: str = "cdf") -> float:
     if isinstance(dist, GFamily):
         breaks.append(dist.t_knot)
 
-    # clamping at phi = F(r-) keeps an atom exactly at r out of the endpoint
-    # samples; on [0, r) the two agree
-    if method == "cdf":
+    # one cdf (and pdf) evaluation per node, shared by every k's tree for the
+    # length of this call; clamping at phi = F(r-) keeps an atom exactly at r
+    # out of the endpoint samples, and on [0, r) the two agree
+    weight = functools.cache(lambda x: min(float(dist.cdf(x)), phi) / phi)
+    density = functools.cache(lambda x: float(dist.pdf(x)))
 
-        def integrand(x):
-            return (min(float(dist.cdf(x)), phi) / phi) ** k
+    def integrand(j):
+        if method == "cdf":
+            return lambda x: weight(x) ** j
+        return lambda x: x * j * weight(x) ** (j - 1) * density(x) / phi
 
-        return r - adaptive_simpson(integrand, 0.0, r, tol=1e-10, breakpoints=breaks)
-    if method == "density":
-
-        def integrand(x):
-            w = min(float(dist.cdf(x)), phi) / phi
-            return x * k * w ** (k - 1) * float(dist.pdf(x)) / phi
-
-        return adaptive_simpson(integrand, 0.0, r, tol=1e-10, breakpoints=breaks)
-    raise ValueError(f"method must be 'cdf' or 'density', got {method!r}")
+    areas = [adaptive_simpson(integrand(j), 0.0, r, tol=1e-10, breakpoints=breaks) for j in ks]
+    losses = tuple(r - a for a in areas) if method == "cdf" else tuple(areas)
+    return losses[0] if scalar else losses
 
 
 def loss_closed_form_g(phi: float, r: float, k: int) -> float:

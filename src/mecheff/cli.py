@@ -189,6 +189,25 @@ def _rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _summary_json(summary) -> str:
+    """json.dumps(summary, indent=2, sort_keys=True), byte for byte.
+
+    With `indent` set, json encodes in pure Python, which costs most of a
+    100,000-row report. The rows are flat dicts of scalars, at least one
+    with at least one key, and "rows" sorts last among the summary's keys,
+    so the rows are encoded without `indent`, by json's C encoder, with the
+    newlines and padding of indent=2 put into `separators`. A `},` followed
+    by a newline then marks exactly where one row ends and the next begins,
+    since json escapes every newline inside a string.
+    """
+    head = {key: value for key, value in summary.items() if key != "rows"}
+    sep = ",\n      "
+    rows = json.dumps(summary["rows"], sort_keys=True, separators=(sep, ": "))
+    rows = rows[2:-2].replace("}" + sep + "{", "\n    },\n    {\n      ")
+    text = json.dumps(head, indent=2, sort_keys=True)
+    return f'{text[:-2]},\n  "rows": [\n    {{\n      {rows}\n    }}\n  ]\n}}'
+
+
 def _resolve_m(cfg: ExperimentConfig, k: int, auto_bound) -> int:
     """cfg.m as an int; "auto" takes `auto_bound(k)`."""
     if cfg.m == "auto":
@@ -217,14 +236,14 @@ def _run_reserve(cfg, dist):
 def _run_gainloss(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
+    try:
+        losses = analysis.loss_numeric(dist, cfg.k)
+    except DegenerateConditioning:
+        losses = [0.0] * len(cfg.k)
     rows = []
-    for k in cfg.k:
+    for k, loss in zip(cfg.k, losses):
         m = _resolve_m(cfg, k, analysis.upper_bound_m)
         g = analysis.gain(phi, r, m)
-        try:
-            loss = analysis.loss_numeric(dist, k)
-        except DegenerateConditioning:
-            loss = 0.0
         loss_extremal = analysis.loss_closed_form_g(phi, r, k) if phi > 0.0 else 0.0
         rows.append(
             {
@@ -450,9 +469,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         prefix = Path(cfg.output_path)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         prefix.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-        prefix.with_suffix(".json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        prefix.with_suffix(".json").write_text(_summary_json(summary) + "\n", encoding="utf-8")
         print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {prefix.with_suffix('.csv')}")
     else:
         if experiment.csv_to_stdout:

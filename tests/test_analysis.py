@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecheff import analysis
 from mecheff.analysis import (
     ALPHA,
     _tail_series,
@@ -21,7 +22,7 @@ from mecheff.analysis import (
     regular_counterexample_search,
     upper_bound_m,
 )
-from mecheff.distributions import Exponential, GFamily, PFamily, Uniform
+from mecheff.distributions import Exponential, GFamily, PFamily, Uniform, ValueDistribution
 from mecheff.errors import DegenerateConditioning, DomainError, SearchExhausted
 
 
@@ -107,6 +108,110 @@ def test_loss_numeric_methods_agree():
             a = loss_numeric(dist, k, method="cdf")
             b = loss_numeric(dist, k, method="density")
             assert a == pytest.approx(b, abs=1e-8), (dist, k)
+
+
+class EvaluatorOnlyWeibull(ValueDistribution):
+    """Weibull with shape 2 known only through its evaluators: no stored
+    reserve, so loss_numeric bisects for it."""
+
+    def cdf(self, x):
+        return -np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0) ** 2)
+
+    def pdf(self, x):
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        return 2.0 * x * np.exp(-(x**2))
+
+    def quantile(self, u):
+        return np.sqrt(-np.log1p(-np.asarray(u, dtype=float)))
+
+
+class CountingCdf(ValueDistribution):
+    """`inner`, recording the argument of every cdf call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.cdf_args = []
+
+    @property
+    def atoms(self):
+        return self.inner.atoms
+
+    @property
+    def exact_reserve(self):
+        return self.inner.exact_reserve
+
+    def cdf(self, x):
+        self.cdf_args.append(x)
+        return self.inner.cdf(x)
+
+    def pdf(self, x):
+        return self.inner.pdf(x)
+
+    def quantile(self, u):
+        return self.inner.quantile(u)
+
+
+SWEEP_DISTS = [
+    Exponential(1.0),
+    Uniform(hi=2.0),
+    GFamily(phi=0.4, r=1.5),  # its knot is a breakpoint
+    PFamily(eps=0.5, r=1.0),  # atom at r: phi comes from cdf_left
+    EvaluatorOnlyWeibull(),
+]
+
+
+@pytest.mark.parametrize("method", ["cdf", "density"])
+@pytest.mark.parametrize("dist", SWEEP_DISTS, ids=lambda d: type(d).__name__)
+def test_loss_sweep_equals_per_k_calls(dist, method):
+    ks = [3, 1, 8, 2, 13, 5, 8]
+    sweep = loss_numeric(dist, ks, method)
+    assert isinstance(sweep, tuple)
+    assert sweep == tuple(loss_numeric(dist, k, method) for k in ks)
+
+
+def test_loss_sweep_accepts_ranges_and_numpy_ints():
+    dist = GFamily(phi=0.4, r=1.5)
+    want = loss_numeric(dist, [1, 2, 3])
+    assert loss_numeric(dist, range(1, 4)) == want
+    assert loss_numeric(dist, np.arange(1, 4)) == want
+    got = loss_numeric(dist, np.int64(2))
+    assert type(got) is float and got == want[1]
+    assert loss_numeric(dist, []) == ()
+
+
+def test_loss_sweep_rejects_k_below_one():
+    for ks in ([1, 0, 2], [-1], range(0, 3), np.array([2, 0])):
+        with pytest.raises(ValueError):
+            loss_numeric(Exponential(1.0), ks)
+
+
+def test_loss_sweep_degenerate_raises_once():
+    with pytest.raises(DegenerateConditioning):
+        loss_numeric(GFamily(phi=0.0, r=1.0), range(1, 65))
+
+
+def test_loss_sweep_evaluates_each_node_once_per_call(monkeypatch):
+    # a memo that outlived a call would make a repeated sweep (as the
+    # benchmark's passes are) nearly free
+    nodes = set()
+    simpson = analysis.adaptive_simpson
+
+    def recording_simpson(f, *args, **kwargs):
+        def integrand(x):
+            nodes.add(x)
+            return f(x)
+
+        return simpson(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "adaptive_simpson", recording_simpson)
+    dist = CountingCdf(GFamily(phi=0.4, r=1.5))
+    first = loss_numeric(dist, range(1, 65))
+    calls = len(dist.cdf_args)
+    # plus one for cdf_left's F(r) before the quadrature
+    assert calls <= len(nodes) + 1
+    dist.cdf_args.clear()
+    assert loss_numeric(dist, range(1, 65)) == first
+    assert len(dist.cdf_args) == calls
 
 
 def test_loss_closed_form_examples():

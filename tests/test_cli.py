@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mecheff import cli
 from mecheff.cli import main, parse_dist_arg
@@ -290,3 +293,47 @@ def test_stdout_csv_when_no_out(capsys):
     assert main(["bounds", "--k", "1..2"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "k,m_upper,m_lower"
+
+
+# --- the JSON summary ----------------------------------------------------------
+
+# text that would confuse a writer splicing rows by their separators
+tricky_text = st.lists(
+    st.sampled_from(["},\n      {", "}, {", '"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2603", "\U0001f600"])
+    | st.text(max_size=4),
+    max_size=4,
+).map("".join)
+scalars = st.one_of(
+    tricky_text,
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.none(),
+)
+row_lists = st.lists(st.dictionaries(tricky_text, scalars, min_size=1, max_size=6), min_size=1, max_size=5)
+
+
+@given(row_lists, scalars)
+@settings(max_examples=200, deadline=None)
+def test_summary_json_equals_indented_dumps(rows, param):
+    summary = {"experiment": "x", "pass": False, "params": {"k": [1, 2], "p": param}, "rows": rows}
+    assert cli._summary_json(summary) == json.dumps(summary, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+def test_every_experiments_summary_equals_indented_dumps(tmp_path, monkeypatch, name):
+    seen = []
+    summary_json = cli._summary_json
+
+    def spy(summary):
+        seen.append(summary)
+        return summary_json(summary)
+
+    monkeypatch.setattr(cli, "_summary_json", spy)
+    small = ["--m", "1..2"] if name == "regular_cx" else []
+    main([name, "--k", "1..2", "--n", "64", *small, "--out", str(tmp_path / name)])
+    [summary] = seen
+    want = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") == want
