@@ -6,6 +6,7 @@ implementations and a seeded Monte Carlo engine for verifying them.
 
 from .analysis import (
     ALPHA,
+    Counterexample,
     gain,
     gain_minus_loss_g,
     loss_closed_form_g,

@@ -31,6 +31,7 @@ import functools
 import math
 import operator
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ __all__ = [
     "multi_item_s",
     "multi_gain_exact",
     "loss_p_unconditional",
+    "Counterexample",
     "regular_counterexample_search",
 ]
 
@@ -207,20 +209,35 @@ def q_poly(x, k: int, m: int):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def upper_bound_m(k: int) -> int:
+def _bound(k, formula):
+    """`formula` of k as float64 (exact for k up to 2**53), refusing any
+    k < 1 or NaN: an int for a scalar k, else a tuple of Python ints."""
+    ks = np.asarray(k, dtype=np.float64)
+    if not np.all(ks >= 1.0):
+        raise ValueError("k must be at least 1")
+    m = np.asarray(formula(ks)).astype(np.int64)
+    return int(m) if np.ndim(k) == 0 else tuple(m.tolist())
+
+
+def upper_bound_m(k):
     """Extra bidders that suffice for any nondecreasing-hazard distribution:
-    floor(log_{1/alpha}(2k)) + 2 with alpha = 1 - 1/e."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return math.floor(math.log(2.0 * k) / _LOG_INV_ALPHA) + 2
+    floor(log_{1/alpha}(2k)) + 2 with alpha = 1 - 1/e.
+
+    `k` is an int, giving an int, or a sequence or array of them, giving a
+    tuple of Python ints; both go through the same numpy expression."""
+    return _bound(k, lambda ks: np.floor(np.log(2.0 * ks) / _LOG_INV_ALPHA) + 2)
 
 
-def lower_bound_m(k: int) -> int:
+def lower_bound_m(k):
     """Extra bidders that provably do not suffice for the extremal family:
-    max(0, floor(log_{1/alpha}((k+1)*(1-alpha))) + 1)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return max(0, math.floor(math.log((k + 1) * (1.0 - ALPHA)) / _LOG_INV_ALPHA) + 1)
+    max(0, floor(log_{1/alpha}((k+1)*(1-alpha))) + 1).
+
+    Takes one k or many, as `upper_bound_m` does."""
+
+    def formula(ks):
+        return np.maximum(0.0, np.floor(np.log((ks + 1.0) * (1.0 - ALPHA)) / _LOG_INV_ALPHA) + 1)
+
+    return _bound(k, formula)
 
 
 def multi_item_s(t: int, m: int, epsilon_slack: float) -> int:
@@ -274,32 +291,52 @@ def loss_p_unconditional(eps: float, r: float, k: int) -> float:
     return adaptive_simpson(integrand, 0.0, r, tol=1e-10)
 
 
+class Counterexample(NamedTuple):
+    """A capped heavy-tail eps that beats m extra bidders, and its shortfall
+    `loss_p_unconditional(eps, r, k)`."""
+
+    eps: float
+    loss: float
+
+
 def regular_counterexample_search(
-    k: int, m: int, r: float = 1.0, margin: float = 0.0
-) -> float:
+    k: int, m: int | Sequence[int], r: float = 1.0, margin: float = 0.0
+) -> Counterexample | tuple[Counterexample, ...]:
     """Find eps so the capped heavy-tail family loses more below the cap
     than m extra bidders can recover: Loss(eps) > Gain(eps) + margin.
 
     Gain(eps) = r*(1 - (r/(r+eps))^m) shrinks linearly in eps while the
     shortfall integral shrinks only like eps*ln(1/eps), so a small enough
     eps always exists for every (k, m). Scans eps geometrically (factor
-    1/2) from r down and returns the first success; once the inequality
-    holds it keeps holding as eps shrinks further.
+    1/2) from r down and returns the first success with its loss; once the
+    inequality holds it keeps holding as eps shrinks further.
+
+    `m` is an int, giving one Counterexample, or a sequence of ints, giving
+    a tuple with one per m in order. Every m walks the same eps = r, r/2,
+    ..., so the call computes the loss once per distinct eps, remembered
+    only for the length of the call.
 
     Raises SearchExhausted below eps = 1e-15 (which would contradict the
-    existence claim).
+    existence claim), for the first m in order that gets there.
     """
-    if k < 1 or m < 1:
+    scalar = np.ndim(m) == 0
+    ms = [operator.index(j) for j in ((m,) if scalar else m)]
+    if k < 1 or any(j < 1 for j in ms):
         raise ValueError("k and m must be at least 1")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
-    eps = r
-    while eps > 1e-15:
-        gain_p = gain(r / (r + eps), r, m)
-        loss_p = loss_p_unconditional(eps, r, k)
-        if loss_p - gain_p > margin:
-            return eps
-        eps *= 0.5
-    raise SearchExhausted(
-        f"no eps above 1e-15 with Loss > Gain + {margin} for k={k}, m={m}, r={r}"
-    )
+    loss_at = functools.cache(lambda eps: loss_p_unconditional(eps, r, k))
+
+    def search(m):
+        eps = r
+        while eps > 1e-15:
+            loss_p = loss_at(eps)
+            if loss_p - gain(r / (r + eps), r, m) > margin:
+                return Counterexample(eps, loss_p)
+            eps *= 0.5
+        raise SearchExhausted(
+            f"no eps above 1e-15 with Loss > Gain + {margin} for k={k}, m={m}, r={r}"
+        )
+
+    found = tuple(search(j) for j in ms)
+    return found[0] if scalar else found

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import operator
 import sys
@@ -180,12 +181,21 @@ def _fmt(value) -> str:
 
 
 def _rows_to_csv(rows) -> str:
+    """The rows as CSV, every cell as `_fmt` writes it.
+
+    Each column is gathered once. A column of exact ints goes to the writer
+    as it is, since the writer prints an int as `str`, as `_fmt` does; every
+    other column goes through `_fmt`.
+    """
     columns = list(rows[0])
+    cells = []
+    for c in columns:
+        values = list(map(operator.itemgetter(c), rows))
+        cells.append(values if set(map(type, values)) == {int} else list(map(_fmt, values)))
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer.writerows(zip(*cells))
     return buf.getvalue()
 
 
@@ -193,19 +203,47 @@ def _summary_json(summary) -> str:
     """json.dumps(summary, indent=2, sort_keys=True), byte for byte.
 
     With `indent` set, json encodes in pure Python, which costs most of a
-    100,000-row report. The rows are flat dicts of scalars, at least one
-    with at least one key, and "rows" sorts last among the summary's keys,
-    so the rows are encoded without `indent`, by json's C encoder, with the
-    newlines and padding of indent=2 put into `separators`. A `},` followed
-    by a newline then marks exactly where one row ends and the next begins,
-    since json escapes every newline inside a string.
+    100,000-row report. So every nonempty list or dict of scalars is encoded
+    without `indent`, by json's C encoder, with the newline and padding of
+    its depth put into `separators`. So is every list of such dicts, each
+    with at least one key: in its text a `}` and the separator's newline
+    then mark exactly where one dict ends and the next begins, since json
+    escapes every newline inside a string. Any other list or dict is laid
+    out here around its encoded entries; its keys must be strings.
     """
-    head = {key: value for key, value in summary.items() if key != "rows"}
-    sep = ",\n      "
-    rows = json.dumps(summary["rows"], sort_keys=True, separators=(sep, ": "))
-    rows = rows[2:-2].replace("}" + sep + "{", "\n    },\n    {\n      ")
-    text = json.dumps(head, indent=2, sort_keys=True)
-    return f'{text[:-2]},\n  "rows": [\n    {{\n      {rows}\n    }}\n  ]\n}}'
+    containers = (list, tuple, dict)
+
+    def flat(values):
+        return not any(issubclass(t, containers) for t in set(map(type, values)))
+
+    def encode(value, pad):
+        if not isinstance(value, containers) or not value:
+            return json.dumps(value)
+        inner = pad + "  "
+        is_dict = isinstance(value, dict)
+        if flat(value.values() if is_dict else value):
+            text = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))
+            return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+        if (
+            not is_dict
+            and all(issubclass(t, dict) for t in set(map(type, value)))
+            and all(value)
+            and flat(itertools.chain.from_iterable(map(dict.values, value)))
+        ):
+            row_pad = inner + "  "
+            sep = ",\n" + row_pad
+            text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
+            rows = text[2:-2].replace("}" + sep + "{", f"\n{inner}}},\n{inner}{{\n{row_pad}")
+            return f"[\n{inner}{{\n{row_pad}{rows}\n{inner}}}\n{pad}]"
+        if is_dict:
+            entries = [f"{json.dumps(key)}: {encode(v, inner)}" for key, v in sorted(value.items())]
+        else:
+            entries = [encode(v, inner) for v in value]
+        body = (",\n" + inner).join(entries)
+        opening, closing = "{}" if is_dict else "[]"
+        return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+    return encode(summary, "")
 
 
 def _resolve_m(cfg: ExperimentConfig, k: int, auto_bound) -> int:
@@ -262,10 +300,8 @@ def _run_gainloss(cfg, dist):
 
 
 def _run_bounds(cfg, dist):
-    rows = [
-        {"k": k, "m_upper": analysis.upper_bound_m(k), "m_lower": analysis.lower_bound_m(k)}
-        for k in cfg.k
-    ]
+    bounds = zip(cfg.k, analysis.upper_bound_m(cfg.k), analysis.lower_bound_m(cfg.k))
+    rows = [{"k": k, "m_upper": up, "m_lower": low} for k, up, low in bounds]
     return rows, {}
 
 
@@ -337,10 +373,9 @@ def _run_regular_cx(cfg, dist):
     grid_u = 0.05 + 0.9 * np.arange(64) / 63
     rows = []
     for k in cfg.k:
-        for m in ms:
-            eps_star = analysis.regular_counterexample_search(k, m, r, margin=margin_target)
+        found = analysis.regular_counterexample_search(k, ms, r, margin=margin_target)
+        for m, (eps_star, loss) in zip(ms, found):
             capped = PFamily(eps=eps_star, r=r)
-            loss = analysis.loss_p_unconditional(eps_star, r, k)
             g = analysis.gain(r / (r + eps_star), r, m)
             grid = capped.quantile(grid_u)
             psi = virtual_value(capped, grid[grid < r])
@@ -449,7 +484,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except (ConfigError, MechEffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    passed = all(experiment.check(row) for row in rows)
+    passed = all(map(experiment.check, rows))
     csv_text = _rows_to_csv(rows)
     summary = {
         "experiment": cfg.experiment,

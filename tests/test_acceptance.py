@@ -192,13 +192,13 @@ def test_criterion_09_regular_counterexample():
     ok = True
     for k in range(1, 6):
         for m in range(1, 11):
-            eps = regular_counterexample_search(k, m, r, margin=1e-6 * r)
+            eps = regular_counterexample_search(k, m, r, margin=1e-6 * r).eps
             # recompute both sides through the closed forms of the integrals
             u = r / (r + eps)
             loss = k * eps * (math.log((r + eps) / eps) - math.fsum(u**j / j for j in range(1, k + 1)))
             gain_p = r * (1.0 - u**m)
             ok &= loss - gain_p > 1e-6 * r
-    p = PFamily(eps=regular_counterexample_search(3, 6, r, margin=1e-6), r=r)
+    p = PFamily(eps=regular_counterexample_search(3, 6, r, margin=1e-6).eps, r=r)
     xs = np.linspace(0.0, r * 0.999, 300)
     psi = np.asarray(virtual_value(p, xs))
     ok &= bool(np.all(np.diff(psi) >= -1e-9))  # regular

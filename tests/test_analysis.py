@@ -393,6 +393,41 @@ def test_bounds_consistent_small_scan():
         assert lower_bound_m(k) < upper_bound_m(k)
 
 
+def test_bounds_of_an_array_equal_math_floor_log():
+    log_inv_alpha = math.log(1.0 / ALPHA)
+
+    def upper_ref(k):
+        return math.floor(math.log(2.0 * k) / log_inv_alpha) + 2
+
+    def lower_ref(k):
+        return max(0, math.floor(math.log((k + 1) * (1.0 - ALPHA)) / log_inv_alpha) + 1)
+
+    ks = np.arange(1, 10**6 + 1)
+    assert upper_bound_m(ks) == tuple(map(upper_ref, range(1, 10**6 + 1)))
+    assert lower_bound_m(ks) == tuple(map(lower_ref, range(1, 10**6 + 1)))
+    spots = [10**9 - 1, 10**9, 10**9 + 1, 10**12 - 1, 10**12, 10**12 + 1]
+    assert upper_bound_m(spots) == tuple(map(upper_ref, spots))
+    assert lower_bound_m(spots) == tuple(map(lower_ref, spots))
+    assert [upper_bound_m(k) for k in spots] == list(map(upper_ref, spots))
+    assert [lower_bound_m(k) for k in spots] == list(map(lower_ref, spots))
+
+
+def test_bounds_give_python_ints():
+    assert type(upper_bound_m(7)) is int and type(lower_bound_m(np.int64(7))) is int
+    for bound in (upper_bound_m, lower_bound_m):
+        values = bound(np.array([1, 5, 100]))
+        assert isinstance(values, tuple) and {type(v) for v in values} == {int}
+        assert bound(range(3, 6)) == tuple(bound(k) for k in range(3, 6))
+        assert bound([]) == ()
+
+
+@pytest.mark.parametrize("bad", [0, -3, [4, 0, 5], np.array([1, -2]), range(0, 3), [2, float("nan")]])
+def test_bounds_refuse_k_below_one(bad):
+    for bound in (upper_bound_m, lower_bound_m):
+        with pytest.raises(ValueError):
+            bound(bad)
+
+
 def test_multi_item_s_examples():
     assert multi_item_s(1, 8, 0.1) == 4
     assert multi_item_s(2, 8, 0.1) == 8
@@ -464,25 +499,25 @@ def test_loss_p_quadrature_matches_substitution_oracle():
 
 
 def test_counterexample_basic():
-    eps = regular_counterexample_search(1, 1, 1.0)
+    eps = regular_counterexample_search(1, 1, 1.0).eps
     loss = loss_p_closed(eps, 1.0, 1)
     g = 1.0 - (1.0 / (1.0 + eps)) ** 1
     assert loss > g
 
 
 def test_counterexample_bigger_m():
-    eps = regular_counterexample_search(2, 5, 1.0)
+    eps = regular_counterexample_search(2, 5, 1.0).eps
     assert loss_p_closed(eps, 1.0, 2) > 1.0 * (1.0 - (1.0 / (1.0 + eps)) ** 5)
 
 
 def test_counterexample_halving_preserves_inequality():
-    eps = regular_counterexample_search(3, 4, 1.0)
+    eps = regular_counterexample_search(3, 4, 1.0).eps
     for e in (eps, eps / 2.0, eps / 4.0):
         assert loss_p_closed(e, 1.0, 3) > 1.0 - (1.0 / (1.0 + e)) ** 4
 
 
 def test_counterexample_scales_with_r():
-    eps = regular_counterexample_search(1, 2, 5.0)
+    eps = regular_counterexample_search(1, 2, 5.0).eps
     r = 5.0
     assert loss_p_closed(eps, r, 1) > r * (1.0 - (r / (r + eps)) ** 2)
 
@@ -493,10 +528,44 @@ def test_counterexample_unreachable_margin():
         regular_counterexample_search(1, 1, 1.0, margin=10.0)
 
 
+def test_counterexample_sweep_equals_per_m_calls():
+    ms = [3, 1, 8, 2, 11, 5, 3]
+    for k, r in ((1, 1.0), (3, 1.0), (2, 5.0)):
+        found = regular_counterexample_search(k, ms, r, margin=1e-6 * r)
+        assert found == tuple(regular_counterexample_search(k, m, r, margin=1e-6 * r) for m in ms)
+        for hit in found:
+            assert hit.loss == analysis.loss_p_unconditional(hit.eps, r, k)
+    assert regular_counterexample_search(2, range(1, 4)) == regular_counterexample_search(2, [1, 2, 3])
+    assert regular_counterexample_search(2, np.int64(3)) == regular_counterexample_search(2, 3)
+
+
+def test_counterexample_sweep_computes_each_eps_once(monkeypatch):
+    seen = []
+    loss_p = analysis.loss_p_unconditional
+
+    def counting(eps, r, k):
+        seen.append(eps)
+        return loss_p(eps, r, k)
+
+    monkeypatch.setattr(analysis, "loss_p_unconditional", counting)
+    found = regular_counterexample_search(3, range(1, 11), 1.0, margin=1e-6)
+    # every m walks eps = 1, 1/2, ..., so the deepest hit bounds the distinct eps
+    assert len(seen) == len(set(seen)) == 1 + round(-math.log2(min(h.eps for h in found)))
+    regular_counterexample_search(3, range(1, 11), 1.0, margin=1e-6)
+    assert len(seen) == 2 * len(set(seen))  # nothing is remembered across calls
+
+
+def test_counterexample_sweep_raises_for_the_first_failing_m():
+    with pytest.raises(SearchExhausted, match=r"k=1, m=13, r=1.0$"):
+        regular_counterexample_search(1, [4, 13, 12], 1.0, margin=1e-6)
+    with pytest.raises(ValueError):
+        regular_counterexample_search(1, [2, 0])
+
+
 def test_counterexample_distribution_is_regular_not_mhr():
     from mecheff.distributions import mhr_check, virtual_value
 
-    eps = regular_counterexample_search(2, 3, 1.0)
+    eps = regular_counterexample_search(2, 3, 1.0).eps
     p = PFamily(eps=eps, r=1.0)
     assert not mhr_check(p, 256).is_mhr
     xs = np.linspace(0.0, 0.999, 200)

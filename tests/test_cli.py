@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mecheff import cli
+from mecheff.analysis import lower_bound_m, upper_bound_m
 from mecheff.cli import main, parse_dist_arg
 
 
@@ -322,6 +325,24 @@ def test_summary_json_equals_indented_dumps(rows, param):
     assert cli._summary_json(summary) == json.dumps(summary, indent=2, sort_keys=True)
 
 
+# summary heads of any shape: nested, long, empty, with or without rows
+long_lists = st.integers(50, 120).map(lambda n: list(range(n))) | st.tuples(scalars, st.integers(50, 120)).map(
+    lambda pair: [pair[0]] * pair[1]
+)
+rows_with_empty = st.lists(st.dictionaries(tricky_text, scalars, max_size=2), min_size=2, max_size=4)
+json_values = st.recursive(
+    scalars | row_lists | rows_with_empty | long_lists,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(tricky_text, children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.dictionaries(tricky_text, json_values, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_summary_json_of_any_head_equals_indented_dumps(head):
+    assert cli._summary_json(head) == json.dumps(head, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
 def test_every_experiments_summary_equals_indented_dumps(tmp_path, monkeypatch, name):
     seen = []
@@ -337,3 +358,61 @@ def test_every_experiments_summary_equals_indented_dumps(tmp_path, monkeypatch, 
     [summary] = seen
     want = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") == want
+
+
+# --- the CSV report ------------------------------------------------------------
+
+
+def csv_per_cell(rows):
+    """Every cell through `_fmt`, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=",", lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    for row in rows:
+        writer.writerow([cli._fmt(row[c]) for c in rows[0]])
+    return buf.getvalue()
+
+
+cells = [
+    st.integers(),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats().map(np.float64),
+    st.lists(st.sampled_from([",", '"', "\n", "\r", " ", "a"]) | st.text(max_size=3), max_size=4).map("".join),
+]
+# a column holds one kind of cell, or any mix of them
+column_cells = st.sampled_from(cells + [st.one_of(cells)])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rows_to_csv_equals_per_cell_writer(data):
+    names = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
+    n = data.draw(st.integers(1, 6))
+    columns = {c: data.draw(st.lists(data.draw(column_cells), min_size=n, max_size=n)) for c in names}
+    rows = [{c: columns[c][i] for c in names} for i in range(n)]
+    assert cli._rows_to_csv(rows) == csv_per_cell(rows)
+
+
+def test_bounds_report_at_benchmark_size_equals_oracles(tmp_path):
+    ks = list(range(1, 100_001))
+    rows = [{"k": k, "m_upper": upper_bound_m(k), "m_lower": lower_bound_m(k)} for k in ks]
+    summary = {
+        "experiment": "bounds",
+        "pass": True,
+        "params": {
+            "distribution": {"family": "exponential", "rate": 1.0},
+            "k": ks,
+            "t": 1,
+            "m": "auto",
+            "n_trials": 1_000_000,
+            "seed": 12345,
+        },
+        "rows": rows,
+    }
+    assert main(["bounds", "--k", "1..100000", "--out", str(tmp_path / "bounds")]) == 0
+    assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == csv_per_cell(rows)
+    want = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "bounds.json").read_text(encoding="utf-8") == want
