@@ -1,11 +1,13 @@
 """Truthful sealed-bid mechanisms for t identical unit-demand items.
 
-`ema` is the efficiency-maximizing (Vickrey) rule: the t highest bidders
-win and each pays the (t+1)-th highest bid. `rma` is the revenue-maximizing
-rule for regular value distributions: only bids at or above the reserve can
-win, and each winner pays the larger of the reserve and the (t+1)-th
-highest bid. Bidders bid their values, so efficiency is the winners' bid
-sum and revenue the payment sum.
+Both mechanisms are one second-price rule: the bids among the t highest
+that are at or above a reserve win, and each winner pays the larger of the
+reserve and the (t+1)-th highest bid. `rma`, the revenue-maximizing rule
+for regular value distributions, is that rule at the monopoly reserve;
+`ema`, the efficiency-maximizing (Vickrey) rule, is its reserve-0 case, in
+which the t highest bidders win and pay the (t+1)-th highest bid. Bidders
+bid their values, so efficiency is the winners' bid sum, added highest
+first, and revenue the payment sum.
 
 Ties are broken by lowest bidder index. Value draws are atomless for
 continuous families, but the atom-bearing families make ties a real event,
@@ -48,6 +50,20 @@ def _ranked(bids: list[float]) -> list[int]:
     return sorted(range(len(bids)), key=lambda i: (-bids[i], i))
 
 
+def _second_price(bids: Sequence[float], t: int, reserve: float) -> AuctionOutcome:
+    b = _validate_bids(bids)
+    order = _ranked(b)
+    # the bids at or above the reserve form a prefix of the ranking
+    winners = tuple(i for i in order[:t] if b[i] >= reserve)
+    price = max(reserve, b[order[t]] if len(b) > t else 0.0)
+    return AuctionOutcome(
+        winners=winners,
+        payments={i: price for i in winners},
+        efficiency=sum((b[i] for i in winners), 0.0),
+        revenue=price * len(winners),
+    )
+
+
 def ema(bids: Sequence[float], t: int = 1) -> AuctionOutcome:
     """Sell t items to the t highest bidders at the (t+1)-th highest bid.
 
@@ -56,17 +72,7 @@ def ema(bids: Sequence[float], t: int = 1) -> AuctionOutcome:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    b = _validate_bids(bids)
-    order = _ranked(b)
-    winners = tuple(order[: min(t, len(b))])
-    price = b[order[t]] if len(b) > t else 0.0
-    payments = {i: price for i in winners}
-    return AuctionOutcome(
-        winners=winners,
-        payments=payments,
-        efficiency=sum(b[i] for i in winners),
-        revenue=price * len(winners),
-    )
+    return _second_price(bids, t, 0.0)
 
 
 def rma(bids: Sequence[float], t: int = 1, reserve: float = 1.0) -> AuctionOutcome:
@@ -80,18 +86,4 @@ def rma(bids: Sequence[float], t: int = 1, reserve: float = 1.0) -> AuctionOutco
         raise ValueError("t must be at least 1")
     if not (reserve > 0.0 and math.isfinite(reserve)):
         raise ValueError(f"reserve must be positive and finite, got {reserve}")
-    b = _validate_bids(bids)
-    order = _ranked(b)
-    eligible = [i for i in order if b[i] >= reserve]
-    winners = tuple(eligible[: min(t, len(eligible))])
-    if not winners:
-        return AuctionOutcome(winners=(), payments={}, efficiency=0.0, revenue=0.0)
-    runner_up = b[order[t]] if len(b) > t else 0.0
-    price = max(reserve, runner_up)
-    payments = {i: price for i in winners}
-    return AuctionOutcome(
-        winners=winners,
-        payments=payments,
-        efficiency=sum(b[i] for i in winners),
-        revenue=price * len(winners),
-    )
+    return _second_price(bids, t, reserve)

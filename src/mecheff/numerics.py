@@ -15,6 +15,8 @@ from typing import Callable, Iterable
 from .errors import NoRoot
 
 _MAX_DEPTH = 60
+_MAX_EXPANSIONS = 200
+_MAX_BISECTIONS = 200
 
 
 def _simpson(f, a, fa, b, fb):
@@ -64,7 +66,6 @@ def bracket_root(
     start: float,
     lo_limit: float = 0.0,
     hi_limit: float = math.inf,
-    max_expansions: int = 200,
 ) -> tuple[float, float]:
     """Find [lo, hi] with f(lo) <= 0 <= f(hi) by geometric expansion from start.
 
@@ -80,7 +81,7 @@ def bracket_root(
     if f0 > 0.0:
         hi = start
         lo = start
-        for _ in range(max_expansions):
+        for _ in range(_MAX_EXPANSIONS):
             lo = max(lo_limit, lo / 2.0)
             if f(lo) <= 0.0:
                 return lo, hi
@@ -89,7 +90,7 @@ def bracket_root(
         raise NoRoot("no sign change below the starting point")
     lo = start
     hi = start
-    for _ in range(max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         if math.isfinite(hi_limit):
             nxt = 0.5 * (hi + hi_limit)
             if hi_limit - nxt < 1e-15 * max(1.0, hi_limit):
@@ -107,13 +108,12 @@ def bisect(
     lo: float,
     hi: float,
     width: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Bisect a bracketing interval down to the requested width."""
     flo = f(lo)
     if flo == 0.0:
         return lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_BISECTIONS):
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)

@@ -11,9 +11,11 @@ nondecreasing (a `ValueDistribution` contract), so it maps the order
 statistics of the uniforms onto those of the values: `_select` keeps each
 row's top t+1 uniforms in registers through one compare-exchange pass over
 the columns, reads them at every prefix width a comparison needs, and
-sends only those t+1 columns through `quantile`. `_ema_stats`/`_rma_stats`
-turn that pair into per-trial efficiency and revenue, adding the top t
-highest first, as the per-bid reference `auctions.ema`/`auctions.rma` do.
+sends only those t+1 columns through `quantile`. `_second_price` turns
+that pair into per-trial efficiency and revenue under one rule, at reserve
+0 for the efficiency-maximizing auction and at the monopoly reserve for the
+reserve-price auction. It adds the winners column by column, highest
+first, as the per-bid reference `auctions.ema`/`auctions.rma` do.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
@@ -183,8 +185,8 @@ def _select(u, t, quantile, widths):
     by compare-exchange with `np.maximum` and `np.minimum` (Knuth, TAOCP
     vol. 3, 5.3.4), which select exactly the values a sort would.
     `quantile` is nondecreasing, so it maps the registers onto the values'
-    top t+1, and only those columns are mapped. numpy sums a row of fewer
-    than 8 terms left to right, as `auctions` adds its winners.
+    top t+1, and only those columns are mapped; `_second_price` adds the
+    winners column by column.
     """
     rows = len(u)
     regs, pairs = [], []
@@ -203,16 +205,21 @@ def _select(u, t, quantile, widths):
     return tuple(pairs)
 
 
-def _ema_stats(top, runner_up):
-    # every top bidder wins and pays the runner-up
-    return top.sum(axis=1), top.shape[1] * runner_up
-
-
-def _rma_stats(top, runner_up, reserve):
-    # top bidders at or above the reserve win and pay max(reserve, runner-up)
-    cleared = top >= reserve
-    eff = np.where(cleared, top, 0.0).sum(axis=1)
-    return eff, cleared.sum(axis=1) * np.maximum(reserve, runner_up)
+def _second_price(top, runner_up, reserve):
+    """Per-trial efficiency and revenue when the top bidders at or above the
+    reserve (0 for EMA) win and pay max(reserve, runner-up). The winners are
+    added column by column, highest first, in `auctions`' order for every t;
+    numpy's row sum would add 8 or more terms pairwise."""
+    columns = iter(top.T)
+    value = next(columns)
+    cleared = value >= reserve
+    eff = np.where(cleared, value, 0.0)
+    won = cleared.astype(float)
+    for value in columns:
+        cleared = value >= reserve
+        eff += np.where(cleared, value, 0.0)
+        won += cleared
+    return eff, won * np.maximum(reserve, runner_up)
 
 
 def estimate_mechanism(
@@ -229,18 +236,11 @@ def estimate_mechanism(
     mech = mechanism.lower()
     if mech not in _MECHANISMS:
         raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
-    if mech == "rma":
-        r = reserve_price(dist)
+    reserve = reserve_price(dist) if mech == "rma" else 0.0
 
-        def stat_fn(u):
-            [pair] = _select(u, t, dist.quantile, (n_bidders,))
-            return _rma_stats(*pair, r)
-
-    else:
-
-        def stat_fn(u):
-            [pair] = _select(u, t, dist.quantile, (n_bidders,))
-            return _ema_stats(*pair)
+    def stat_fn(u):
+        [pair] = _select(u, t, dist.quantile, (n_bidders,))
+        return _second_price(*pair, reserve)
 
     [(s1, s2)] = _moment_scan([(n_bidders, stat_fn)], n_trials, seed)
     return MechanismEstimate(
@@ -271,9 +271,7 @@ def paired_compare(
     def config(k, extra):
         def stat_fn(u):
             ema, rma = _select(u, t, dist.quantile, (k, k + extra))
-            eff_e, _ = _ema_stats(*ema)
-            eff_r, _ = _rma_stats(*rma, r)
-            return eff_e, eff_r
+            return _second_price(*ema, 0.0)[0], _second_price(*rma, r)[0]
 
         return k + extra, stat_fn
 
@@ -301,9 +299,7 @@ def revenue_compare_bk(
     def config(k):
         def stat_fn(u):
             rma, ema = _select(u, 1, dist.quantile, (k, k + 1))
-            _, rev_e = _ema_stats(*ema)
-            _, rev_r = _rma_stats(*rma, r)
-            return rev_e, rev_r
+            return _second_price(*ema, 0.0)[1], _second_price(*rma, r)[1]
 
         return k + 1, stat_fn
 
@@ -330,8 +326,8 @@ def efficiency_ratio(
 
     def stat_fn(u):
         [(top, runner_up)] = _select(u, 1, dist.quantile, (u.shape[1],))
-        eff_e, rev_e = _ema_stats(top, runner_up)
-        eff_r, rev_r = _rma_stats(top, runner_up, r)
+        eff_e, rev_e = _second_price(top, runner_up, 0.0)
+        eff_r, rev_r = _second_price(top, runner_up, r)
         return eff_e, eff_r, rev_e, rev_r
 
     moments = _moment_scan([(k, stat_fn) for k in ks], n_trials, seed)

@@ -7,6 +7,7 @@ fixed seeds, so a pass here is a reproducible fact, not a lucky draw.
 
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -127,11 +128,8 @@ def test_criterion_05_lower_bound_analytic_and_gap():
         for k in range(2, 201)
         for m in range(1, lower_bound_m(k) + 1)
     )
-    max_gap = 0
-    for k in range(1, 1_000_001):
-        gap = upper_bound_m(k) - lower_bound_m(k)
-        if gap > max_gap:
-            max_gap = gap
+    ks = range(1, 1_000_001)
+    max_gap = max(map(operator.sub, upper_bound_m(ks), lower_bound_m(ks)))
     elapsed = time.time() - t0
     ok = sign_ok and max_gap <= 6
     _report(5, f"insufficient-m series positive; bound gap <= 6 (max {max_gap})", ok, elapsed)

@@ -25,8 +25,7 @@ from mecheff.errors import NoRoot
 from mecheff.simulate import (
     BATCH_TRIALS,
     _batch_uniforms,
-    _ema_stats,
-    _rma_stats,
+    _second_price,
     _select,
     efficiency_ratio,
     estimate_mechanism,
@@ -200,7 +199,7 @@ def test_multi_item_paired_compare():
 def tie_heavy_batch(draw):
     """(values, t, reserve): rows of n bids on a 0.1 grid, or P-family draws
     whose atom at the reserve carries a third to a half of the mass."""
-    n, t, rows = draw(st.integers(1, 40)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    n, t, rows = draw(st.integers(1, 40)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
     if draw(st.booleans()):
         grid = st.lists(st.integers(0, 20), min_size=n, max_size=n)
         values = np.array(draw(st.lists(grid, min_size=rows, max_size=rows))) / 10.0
@@ -217,8 +216,8 @@ def test_batched_stats_match_per_bid_auctions(batch):
     values, t, reserve = batch
     # the bids are their own quantile
     [(top, runner_up)] = _select(values, t, lambda v: v, (values.shape[1],))
-    eff_e, rev_e = _ema_stats(top, runner_up)
-    eff_r, rev_r = _rma_stats(top, runner_up, reserve)
+    eff_e, rev_e = _second_price(top, runner_up, 0.0)
+    eff_r, rev_r = _second_price(top, runner_up, reserve)
     for i, bids in enumerate(values.tolist()):
         e, r = auctions.ema(bids, t), auctions.rma(bids, t, reserve)
         assert eff_e[i] == e.efficiency and rev_e[i] == e.revenue
@@ -309,13 +308,12 @@ def dispatch_digest():
         r = reserve_price(dist)
         for n, t in ((12, 3), (40, 5), (40, 9)):
             u = _batch_uniforms(7, 0, (4096, n))
-            # row-major like every matrix `_moment_scan` passes: numpy sums rows
-            # of 8 or more terms in blocks that follow the memory layout
+            # row-major like every matrix `_moment_scan` passes
             permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
             stats = []
             for cols in (u, permuted):
                 [(top, runner_up)] = _select(cols, t, dist.quantile, (n,))
-                stats.append((*_ema_stats(top, runner_up), *_rma_stats(top, runner_up, r)))
+                stats.append((*_second_price(top, runner_up, 0.0), *_second_price(top, runner_up, r)))
             assert all(np.array_equal(a, b) for a, b in zip(*stats)), (dist, n, t)
             h.update(b"".join(stat.tobytes() for stat in stats[0]))
     return h.hexdigest()
