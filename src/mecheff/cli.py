@@ -2,15 +2,16 @@
 
 Each experiment is declared once, as an entry of the `_EXPERIMENTS` table
 that holds its runner, the config values it starts from and the check its
-rows must meet. Those defaults are the first config source; the config file
-and then the flags override them. The runner gets the config and its built
-distribution and returns the row records and any extra JSON parameters; the
-experiment passes when the check holds on every row.
+columns must meet. Those defaults are the first config source; the config
+file and then the flags override them. The runner gets the config and its
+built distribution and returns its columns, an ordered dict from each CSV
+column name to its values (one per row), and any extra JSON parameters; the
+experiment passes when the check holds on the columns.
 
 Each experiment writes a CSV of per-k rows and a JSON summary embedding the
 resolved parameters, and exits 0 when every row passes, 1 when any fails,
-2 on configuration errors. The columns are the keys of an experiment's row
-records, in a fixed order so golden-file comparisons stay stable; floats are
+2 on configuration errors. The columns keep the order their runner gives
+them, so golden-file comparisons stay stable; floats are
 printed with 17 significant digits and identical (config, seed) runs produce
 byte-identical output regardless of the thread cap (MECH_EFF_THREADS).
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import operator
 import sys
@@ -70,9 +70,12 @@ def _parse_int_range(value, what):
         return out
     if "," in value:
         try:
-            return [int(p) for p in value.split(",") if p.strip()]
+            out = [int(p) for p in value.split(",") if p.strip()]
         except ValueError:
             raise ConfigError(f"bad {what} list {value!r}") from None
+        if not out:
+            raise ConfigError(f"{what} list {value!r} is empty")
+        return out
     if ".." in value:
         lo_s, _, hi_s = value.partition("..")
         try:
@@ -180,36 +183,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rows_to_csv(rows) -> str:
-    """The rows as CSV, every cell as `_fmt` writes it.
+def _columns_to_csv(columns) -> str:
+    """The columns as CSV rows under a header of their names, every cell as
+    `_fmt` writes it.
 
-    Each column is gathered once. A column of exact ints goes to the writer
-    as it is, since the writer prints an int as `str`, as `_fmt` does; every
-    other column goes through `_fmt`.
+    A column of exact ints goes to the writer as it is, since the writer
+    prints an int as `str`, as `_fmt` does; every other column goes through
+    `_fmt`. Columns of unequal length raise ValueError.
     """
-    columns = list(rows[0])
-    cells = []
-    for c in columns:
-        values = list(map(operator.itemgetter(c), rows))
-        cells.append(values if set(map(type, values)) == {int} else list(map(_fmt, values)))
+    cells = [v if set(map(type, v)) == {int} else list(map(_fmt, v)) for v in columns.values()]
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter=",", lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows(zip(*cells))
+    writer.writerows(zip(*cells, strict=True))
     return buf.getvalue()
 
 
-def _summary_json(summary) -> str:
-    """json.dumps(summary, indent=2, sort_keys=True), byte for byte.
+def _summary_json(head, columns) -> str:
+    """json.dumps({**head, "rows": rows}, indent=2, sort_keys=True), byte for
+    byte, where row i maps each column name to the column's i-th value.
 
     With `indent` set, json encodes in pure Python, which costs most of a
-    100,000-row report. So every nonempty list or dict of scalars is encoded
-    without `indent`, by json's C encoder, with the newline and padding of
-    its depth put into `separators`. So is every list of such dicts, each
-    with at least one key: in its text a `}` and the separator's newline
-    then mark exactly where one dict ends and the next begins, since json
-    escapes every newline inside a string. Any other list or dict is laid
-    out here around its encoded entries; its keys must be strings.
+    100,000-row report. So each column is encoded by one call to json's C
+    encoder, with a newline between values, and split back into its cells
+    at the line breaks, since json (ASCII-only by default) escapes every
+    line break inside a string; the rows are laid out here around those
+    cells. Every nonempty list or dict of scalars in `head` is encoded by
+    the C encoder too, with the newline and padding of its depth put into
+    `separators`. Any other list or dict is laid out here around its
+    encoded entries; its keys must be strings. There must be at least one
+    row; columns of unequal length raise ValueError.
     """
     containers = (list, tuple, dict)
 
@@ -224,17 +227,6 @@ def _summary_json(summary) -> str:
         if flat(value.values() if is_dict else value):
             text = json.dumps(value, sort_keys=True, separators=(",\n" + inner, ": "))
             return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
-        if (
-            not is_dict
-            and all(issubclass(t, dict) for t in set(map(type, value)))
-            and all(value)
-            and flat(itertools.chain.from_iterable(map(dict.values, value)))
-        ):
-            row_pad = inner + "  "
-            sep = ",\n" + row_pad
-            text = json.dumps(value, sort_keys=True, separators=(sep, ": "))
-            rows = text[2:-2].replace("}" + sep + "{", f"\n{inner}}},\n{inner}{{\n{row_pad}")
-            return f"[\n{inner}{{\n{row_pad}{rows}\n{inner}}}\n{pad}]"
         if is_dict:
             entries = [f"{json.dumps(key)}: {encode(v, inner)}" for key, v in sorted(value.items())]
         else:
@@ -243,7 +235,15 @@ def _summary_json(summary) -> str:
         opening, closing = "{}" if is_dict else "[]"
         return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
-    return encode(summary, "")
+    names = sorted(columns)
+    name_fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
+    row_format = f"    {{\n{name_fields}\n    }}"
+
+    cells = (json.dumps(columns[name], separators=("\n", ": "))[1:-1].splitlines() for name in names)
+    entries = {key: encode(value, "  ") for key, value in head.items()}
+    entries["rows"] = "[\n%s\n  ]" % ",\n".join(map(row_format.__mod__, zip(*cells, strict=True)))
+    body = ",\n  ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(entries.items()))
+    return f"{{\n  {body}\n}}"
 
 
 def _resolve_m(cfg: ExperimentConfig, k: int, auto_bound) -> int:
@@ -261,48 +261,48 @@ def _not_below(value, floor, std_err) -> bool:
 
 
 # --- experiment runners ------------------------------------------------------
-# Each takes (cfg, dist) and returns (rows, extra_params); every row is a
-# dict whose keys are the CSV columns, in order.
+# Each takes (cfg, dist) and returns (columns, extra_params): columns maps
+# each CSV column name, in order, to its values, one per row.
 
 
 def _run_reserve(cfg, dist):
     r = reserve_price(dist)
     print(repr(float(r)))
-    return [{"dist": json.dumps(cfg.distribution, sort_keys=True), "reserve": float(r)}], {}
+    return {"dist": [json.dumps(cfg.distribution, sort_keys=True)], "reserve": [float(r)]}, {}
 
 
 def _run_gainloss(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
+    n = len(cfg.k)
     try:
         losses = analysis.loss_numeric(dist, cfg.k)
     except DegenerateConditioning:
-        losses = [0.0] * len(cfg.k)
-    rows = []
-    for k, loss in zip(cfg.k, losses):
-        m = _resolve_m(cfg, k, analysis.upper_bound_m)
-        g = analysis.gain(phi, r, m)
-        loss_extremal = analysis.loss_closed_form_g(phi, r, k) if phi > 0.0 else 0.0
-        rows.append(
-            {
-                "k": k,
-                "m": m,
-                "phi": phi,
-                "r": r,
-                "gain": g,
-                "loss": loss,
-                "loss_extremal": loss_extremal,
-                "diff": g - loss,
-                "pass": loss <= loss_extremal + 1e-8,
-            }
-        )
-    return rows, {"phi": phi, "r": r}
+        losses = [0.0] * n
+    ms = [_resolve_m(cfg, k, analysis.upper_bound_m) for k in cfg.k]
+    gains = [analysis.gain(phi, r, m) for m in ms]
+    extremal = [analysis.loss_closed_form_g(phi, r, k) if phi > 0.0 else 0.0 for k in cfg.k]
+    columns = {
+        "k": cfg.k,
+        "m": ms,
+        "phi": [phi] * n,
+        "r": [r] * n,
+        "gain": gains,
+        "loss": losses,
+        "loss_extremal": extremal,
+        "diff": list(map(operator.sub, gains, losses)),
+        "pass": [loss <= bound + 1e-8 for loss, bound in zip(losses, extremal)],
+    }
+    return columns, {"phi": phi, "r": r}
 
 
 def _run_bounds(cfg, dist):
-    bounds = zip(cfg.k, analysis.upper_bound_m(cfg.k), analysis.lower_bound_m(cfg.k))
-    rows = [{"k": k, "m_upper": up, "m_lower": low} for k, up, low in bounds]
-    return rows, {}
+    columns = {
+        "k": cfg.k,
+        "m_upper": analysis.upper_bound_m(cfg.k),
+        "m_lower": analysis.lower_bound_m(cfg.k),
+    }
+    return columns, {}
 
 
 def _paired_runner(auto_bound, row_check):
@@ -310,25 +310,21 @@ def _paired_runner(auto_bound, row_check):
 
     def run(cfg, dist):
         extras = [_resolve_m(cfg, k, auto_bound) for k in cfg.k]
-        pairs = list(zip(cfg.k, extras))
-        pcs = simulate.paired_compare(dist, pairs, cfg.t, cfg.n_trials, cfg.seed)
-        rows = [
-            {
-                "k": k,
-                "t": cfg.t,
-                "extra": extra,
-                "n_trials": cfg.n_trials,
-                "diff_mean": pc.diff_mean,
-                "diff_std_err": pc.diff_std_err,
-                "eff_ema_mean": pc.ema.mean,
-                "eff_ema_std_err": pc.ema.std_err,
-                "eff_rma_mean": pc.rma.mean,
-                "eff_rma_std_err": pc.rma.std_err,
-                "pass": row_check(pc),
-            }
-            for k, extra, pc in zip(cfg.k, extras, pcs)
-        ]
-        return rows, {"extra_by_k": {str(row["k"]): row["extra"] for row in rows}}
+        pcs = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
+        columns = {
+            "k": cfg.k,
+            "t": [cfg.t] * len(cfg.k),
+            "extra": extras,
+            "n_trials": [cfg.n_trials] * len(cfg.k),
+            "diff_mean": [pc.diff_mean for pc in pcs],
+            "diff_std_err": [pc.diff_std_err for pc in pcs],
+            "eff_ema_mean": [pc.ema.mean for pc in pcs],
+            "eff_ema_std_err": [pc.ema.std_err for pc in pcs],
+            "eff_rma_mean": [pc.rma.mean for pc in pcs],
+            "eff_rma_std_err": [pc.rma.std_err for pc in pcs],
+            "pass": list(map(row_check, pcs)),
+        }
+        return columns, {"extra_by_k": {str(k): extra for k, extra in zip(cfg.k, extras)}}
 
     return run
 
@@ -337,33 +333,29 @@ def _run_thm3(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
     eps_slack = 0.1
-    plans = []
-    for k in cfg.k:
-        m = _resolve_m(cfg, k, analysis.upper_bound_m)
-        s = analysis.multi_item_s(cfg.t, m, eps_slack)
-        plans.append((k, m, s, analysis.multi_gain_exact(phi, r, m, s, cfg.t)))
-    pairs = [(k, m + s) for k, m, s, _ in plans]
-    pcs = simulate.paired_compare(dist, pairs, cfg.t, cfg.n_trials, cfg.seed)
-    rows = []
-    for (k, m, s, gain_exact), pc in zip(plans, pcs):
-        gain_floor = r * cfg.t * (1.0 - phi**m)
-        analytic_ok = gain_exact >= gain_floor - 1e-12
-        rows.append(
-            {
-                "k": k,
-                "t": cfg.t,
-                "m": m,
-                "s": s,
-                "extra": m + s,
-                "gain_exact": gain_exact,
-                "gain_floor": gain_floor,
-                "analytic_pass": analytic_ok,
-                "diff_mean": pc.diff_mean,
-                "diff_std_err": pc.diff_std_err,
-                "pass": analytic_ok and _not_below(pc.diff_mean, 0.0, pc.diff_std_err),
-            }
-        )
-    return rows, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
+    ms = [_resolve_m(cfg, k, analysis.upper_bound_m) for k in cfg.k]
+    ss = [analysis.multi_item_s(cfg.t, m, eps_slack) for m in ms]
+    gains = [analysis.multi_gain_exact(phi, r, m, s, cfg.t) for m, s in zip(ms, ss)]
+    extras = list(map(operator.add, ms, ss))
+    pcs = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
+    floors = [r * cfg.t * (1.0 - phi**m) for m in ms]
+    analytic = [g >= floor - 1e-12 for g, floor in zip(gains, floors)]
+    columns = {
+        "k": cfg.k,
+        "t": [cfg.t] * len(cfg.k),
+        "m": ms,
+        "s": ss,
+        "extra": extras,
+        "gain_exact": gains,
+        "gain_floor": floors,
+        "analytic_pass": analytic,
+        "diff_mean": [pc.diff_mean for pc in pcs],
+        "diff_std_err": [pc.diff_std_err for pc in pcs],
+        "pass": [
+            ok and _not_below(pc.diff_mean, 0.0, pc.diff_std_err) for ok, pc in zip(analytic, pcs)
+        ],
+    }
+    return columns, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
 
 
 def _run_regular_cx(cfg, dist):
@@ -371,87 +363,91 @@ def _run_regular_cx(cfg, dist):
     margin_target = 1e-6 * r
     ms = _parse_int_range(cfg.m, "m")
     grid_u = 0.05 + 0.9 * np.arange(64) / 63
-    rows = []
-    for k in cfg.k:
-        found = analysis.regular_counterexample_search(k, ms, r, margin=margin_target)
-        for m, (eps_star, loss) in zip(ms, found):
-            capped = PFamily(eps=eps_star, r=r)
-            g = analysis.gain(r / (r + eps_star), r, m)
-            grid = capped.quantile(grid_u)
-            psi = virtual_value(capped, grid[grid < r])
-            regular_ok = bool(np.all(psi[1:] >= psi[:-1] - 1e-9))
-            mhr_violated = not mhr_check(capped, 256).is_mhr
-            rows.append(
-                {
-                    "k": k,
-                    "m": m,
-                    "eps_star": eps_star,
-                    "loss": loss,
-                    "gain": g,
-                    "margin": loss - g,
-                    "regular_ok": regular_ok,
-                    "mhr_violated": mhr_violated,
-                    "pass": loss - g > margin_target and regular_ok and mhr_violated,
-                }
-            )
-    return rows, {"r": r, "margin_target": margin_target}
+    found = [
+        cx for k in cfg.k for cx in analysis.regular_counterexample_search(k, ms, r, margin=margin_target)
+    ]
+    col_m = ms * len(cfg.k)
+    gains = [analysis.gain(r / (r + cx.eps), r, m) for cx, m in zip(found, col_m)]
+    margins = [cx.loss - g for cx, g in zip(found, gains)]
+    regular_ok, mhr_violated = [], []
+    for cx in found:
+        capped = PFamily(eps=cx.eps, r=r)
+        grid = capped.quantile(grid_u)
+        psi = virtual_value(capped, grid[grid < r])
+        regular_ok.append(bool(np.all(psi[1:] >= psi[:-1] - 1e-9)))
+        mhr_violated.append(not mhr_check(capped, 256).is_mhr)
+    columns = {
+        "k": [k for k in cfg.k for _ in ms],
+        "m": col_m,
+        "eps_star": [cx.eps for cx in found],
+        "loss": [cx.loss for cx in found],
+        "gain": gains,
+        "margin": margins,
+        "regular_ok": regular_ok,
+        "mhr_violated": mhr_violated,
+        "pass": [
+            margin > margin_target and ok and violated
+            for margin, ok, violated in zip(margins, regular_ok, mhr_violated)
+        ],
+    }
+    return columns, {"r": r, "margin_target": margin_target}
 
 
 def _run_ratio(cfg, dist):
-    rows = []
-    for k, est in zip(cfg.k, simulate.efficiency_ratio(dist, cfg.k, cfg.n_trials, cfg.seed)):
-        eff_floor = 1.0 - ALPHA**k
-        rev_floor = 1.0 - ALPHA ** (k - 1)
-        rows.append(
-            {
-                "k": k,
-                "eff_ratio": est.eff_ratio,
-                "eff_floor": eff_floor,
-                "eff_std_err": est.eff_ratio_std_err,
-                "rev_ratio": est.rev_ratio,
-                "rev_floor": rev_floor,
-                "rev_std_err": est.rev_ratio_std_err,
-                "pass": _not_below(est.eff_ratio, eff_floor, est.eff_ratio_std_err)
-                and _not_below(est.rev_ratio, rev_floor, est.rev_ratio_std_err),
-            }
-        )
-    return rows, {}
+    ests = simulate.efficiency_ratio(dist, cfg.k, cfg.n_trials, cfg.seed)
+    eff_floors = [1.0 - ALPHA**k for k in cfg.k]
+    rev_floors = [1.0 - ALPHA ** (k - 1) for k in cfg.k]
+    columns = {
+        "k": cfg.k,
+        "eff_ratio": [est.eff_ratio for est in ests],
+        "eff_floor": eff_floors,
+        "eff_std_err": [est.eff_ratio_std_err for est in ests],
+        "rev_ratio": [est.rev_ratio for est in ests],
+        "rev_floor": rev_floors,
+        "rev_std_err": [est.rev_ratio_std_err for est in ests],
+        "pass": [
+            _not_below(est.eff_ratio, eff_floor, est.eff_ratio_std_err)
+            and _not_below(est.rev_ratio, rev_floor, est.rev_ratio_std_err)
+            for est, eff_floor, rev_floor in zip(ests, eff_floors, rev_floors)
+        ],
+    }
+    return columns, {}
 
 
 def _run_bk(cfg, dist):
     pcs = simulate.revenue_compare_bk(dist, cfg.k, cfg.n_trials, cfg.seed)
-    rows = [
-        {
-            "k": k,
-            "diff_mean": pc.diff_mean,
-            "diff_std_err": pc.diff_std_err,
-            "rev_ema_mean": pc.ema.mean,
-            "rev_rma_mean": pc.rma.mean,
-            "pass": _not_below(pc.diff_mean, 0.0, pc.diff_std_err),
-        }
-        for k, pc in zip(cfg.k, pcs)
-    ]
-    return rows, {}
+    columns = {
+        "k": cfg.k,
+        "diff_mean": [pc.diff_mean for pc in pcs],
+        "diff_std_err": [pc.diff_std_err for pc in pcs],
+        "rev_ema_mean": [pc.ema.mean for pc in pcs],
+        "rev_rma_mean": [pc.rma.mean for pc in pcs],
+        "pass": [_not_below(pc.diff_mean, 0.0, pc.diff_std_err) for pc in pcs],
+    }
+    return columns, {}
 
 
 @dataclass(frozen=True)
 class _Experiment:
-    """`run(cfg, dist)` gives the rows and extra JSON params; `defaults` are
-    the config values the experiment starts from; it passes when `check`
-    holds on every row. Without `--out`, the CSV goes to stdout unless
-    `csv_to_stdout` is false (the runner prints its own result)."""
+    """`run(cfg, dist)` gives the columns and extra JSON params; `defaults`
+    are the config values the experiment starts from; it passes when
+    `check(columns)` holds, by default when every row's `pass` is true.
+    Without `--out`, the CSV goes to stdout unless `csv_to_stdout` is false
+    (the runner prints its own result)."""
 
     run: Callable
     defaults: dict
-    check: Callable = operator.itemgetter("pass")
+    check: Callable = lambda columns: all(columns["pass"])
     csv_to_stdout: bool = True
 
 
 _EXPERIMENTS = {
-    "reserve": _Experiment(_run_reserve, {}, check=lambda row: True, csv_to_stdout=False),
+    "reserve": _Experiment(_run_reserve, {}, check=lambda columns: True, csv_to_stdout=False),
     "gainloss": _Experiment(_run_gainloss, {"k": "1..8"}),
     "bounds": _Experiment(
-        _run_bounds, {"k": "1..100"}, check=lambda row: row["m_lower"] <= row["m_upper"]
+        _run_bounds,
+        {"k": "1..100"},
+        check=lambda columns: all(map(operator.le, columns["m_lower"], columns["m_upper"])),
     ),
     "thm1": _Experiment(
         _paired_runner(
@@ -480,13 +476,13 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     try:
         if not cfg.k:  # an experiment without rows has no columns to report
             raise ConfigError("k range must be nonempty")
-        rows, extra_params = experiment.run(cfg, from_spec(cfg.distribution))
+        columns, extra_params = experiment.run(cfg, from_spec(cfg.distribution))
     except (ConfigError, MechEffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    passed = all(map(experiment.check, rows))
-    csv_text = _rows_to_csv(rows)
-    summary = {
+    passed = experiment.check(columns)
+    csv_text = _columns_to_csv(columns)
+    head = {
         "experiment": cfg.experiment,
         "pass": passed,
         "params": {
@@ -498,13 +494,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             "seed": cfg.seed,
             **extra_params,
         },
-        "rows": rows,
     }
     if cfg.output_path:
         prefix = Path(cfg.output_path)
         prefix.parent.mkdir(parents=True, exist_ok=True)
         prefix.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-        prefix.with_suffix(".json").write_text(_summary_json(summary) + "\n", encoding="utf-8")
+        prefix.with_suffix(".json").write_text(_summary_json(head, columns) + "\n", encoding="utf-8")
         print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {prefix.with_suffix('.csv')}")
     else:
         if experiment.csv_to_stdout:

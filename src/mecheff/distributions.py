@@ -402,14 +402,6 @@ def domination_check(dist: ValueDistribution, grid_size: int = 256) -> bool:
     return bool(np.all(np.asarray(dist.cdf(y)) >= np.asarray(extremal.cdf(y)) - 1e-9))
 
 
-def sample(dist: ValueDistribution, u):
-    """Inverse-cdf sampling: map uniform u in [0, 1) through the quantile."""
-    ua, _ = _promote(u)
-    if np.any((ua < 0.0) | (ua >= 1.0)):
-        raise ValueError("u must lie in [0, 1)")
-    return dist.quantile(u)
-
-
 # The record format: {"family": tag, **fields of the family's dataclass}.
 FAMILIES = {"exponential": Exponential, "uniform": Uniform, "g": GFamily, "p": PFamily}
 

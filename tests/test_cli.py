@@ -232,6 +232,7 @@ def test_run_time_config_error_exits_2():
     # the m range of regular_cx is parsed when the experiment runs
     assert main(["regular_cx", "--k", "1", "--m", "5..1"]) == 2
     assert main(["bounds", "--k", ","]) == 2
+    assert main(["regular_cx", "--k", "1", "--m", ","]) == 2
     assert cli.run_experiment(cli.ExperimentConfig("bounds", k=[])) == 2
 
 
@@ -242,6 +243,24 @@ def test_internal_key_error_propagates(monkeypatch):
     monkeypatch.setitem(cli._EXPERIMENTS, "bounds", cli._Experiment(broken, {}))
     with pytest.raises(KeyError):
         main(["bounds", "--k", "1"])
+
+
+def test_unequal_column_lengths_propagate(tmp_path, monkeypatch):
+    def short(cfg, dist):
+        return {"k": [1, 2], "pass": [True]}, {}
+
+    monkeypatch.setitem(cli._EXPERIMENTS, "bounds", cli._Experiment(short, {}))
+    for out in ([], ["--out", str(tmp_path / "b")]):
+        with pytest.raises(ValueError):
+            main(["bounds", "--k", "1..2", *out])
+    assert list(tmp_path.iterdir()) == []
+    columns, _ = short(None, None)
+    with pytest.raises(ValueError):
+        cli._columns_to_csv(columns)
+    with pytest.raises(ValueError):
+        cli._summary_json({}, columns)
+    with pytest.raises(ValueError):
+        cli._summary_json({}, {"k": [1], "pass": []})
 
 
 def test_unknown_subcommand_exits_2():
@@ -300,9 +319,12 @@ def test_stdout_csv_when_no_out(capsys):
 
 # --- the JSON summary ----------------------------------------------------------
 
-# text that would confuse a writer splicing rows by their separators
+# text that would confuse a writer splicing rows by their separators or
+# laying them out with %-formatting
 tricky_text = st.lists(
-    st.sampled_from(["},\n      {", "}, {", '"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2603", "\U0001f600"])
+    st.sampled_from(
+        ["},\n      {", "}, {", '"', "\\", "\x00", "\x1f", "\n", "\u00e9", "\u2603", "\U0001f600", "%", "%s"]
+    )
     | st.text(max_size=4),
     max_size=4,
 ).map("".join)
@@ -318,11 +340,27 @@ scalars = st.one_of(
 row_lists = st.lists(st.dictionaries(tricky_text, scalars, min_size=1, max_size=6), min_size=1, max_size=5)
 
 
-@given(row_lists, scalars)
+def rows_of(columns):
+    """One dict per row, mapping each column name to the row's value."""
+    return [dict(zip(columns, values)) for values in zip(*columns.values())]
+
+
+def indented_dumps(head, columns):
+    return json.dumps({**head, "rows": rows_of(columns)}, indent=2, sort_keys=True)
+
+
+@st.composite
+def column_sets(draw):
+    names = draw(st.lists(tricky_text, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(1, 5))
+    return {name: draw(st.lists(scalars, min_size=n, max_size=n)) for name in names}
+
+
+@given(column_sets(), scalars)
 @settings(max_examples=200, deadline=None)
-def test_summary_json_equals_indented_dumps(rows, param):
-    summary = {"experiment": "x", "pass": False, "params": {"k": [1, 2], "p": param}, "rows": rows}
-    assert cli._summary_json(summary) == json.dumps(summary, indent=2, sort_keys=True)
+def test_summary_json_equals_indented_dumps(columns, param):
+    head = {"experiment": "x", "pass": False, "params": {"k": [1, 2], "p": param}}
+    assert cli._summary_json(head, columns) == indented_dumps(head, columns)
 
 
 # summary heads of any shape: nested, long, empty, with or without rows
@@ -340,7 +378,8 @@ json_values = st.recursive(
 @given(st.dictionaries(tricky_text, json_values, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_summary_json_of_any_head_equals_indented_dumps(head):
-    assert cli._summary_json(head) == json.dumps(head, indent=2, sort_keys=True)
+    columns = {"k": [1, 2], "pass": [True, False]}
+    assert cli._summary_json(head, columns) == indented_dumps(head, columns)
 
 
 @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
@@ -348,15 +387,15 @@ def test_every_experiments_summary_equals_indented_dumps(tmp_path, monkeypatch, 
     seen = []
     summary_json = cli._summary_json
 
-    def spy(summary):
-        seen.append(summary)
-        return summary_json(summary)
+    def spy(head, columns):
+        seen.append((head, columns))
+        return summary_json(head, columns)
 
     monkeypatch.setattr(cli, "_summary_json", spy)
     small = ["--m", "1..2"] if name == "regular_cx" else []
     main([name, "--k", "1..2", "--n", "64", *small, "--out", str(tmp_path / name)])
-    [summary] = seen
-    want = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    [(head, columns)] = seen
+    want = indented_dumps(head, columns) + "\n"
     assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") == want
 
 
@@ -392,8 +431,7 @@ def test_rows_to_csv_equals_per_cell_writer(data):
     names = data.draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True))
     n = data.draw(st.integers(1, 6))
     columns = {c: data.draw(st.lists(data.draw(column_cells), min_size=n, max_size=n)) for c in names}
-    rows = [{c: columns[c][i] for c in names} for i in range(n)]
-    assert cli._rows_to_csv(rows) == csv_per_cell(rows)
+    assert cli._columns_to_csv(columns) == csv_per_cell(rows_of(columns))
 
 
 def test_bounds_report_at_benchmark_size_equals_oracles(tmp_path):

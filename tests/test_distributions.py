@@ -19,7 +19,6 @@ from mecheff.distributions import (
     lemma1_check,
     mhr_check,
     reserve_price,
-    sample,
     to_spec,
     virtual_value,
 )
@@ -210,17 +209,10 @@ def test_domination_universal(dist):
 
 
 def test_sample_examples():
-    assert sample(Exponential(1.0), 0.0) == 0.0
-    assert sample(Uniform(hi=1.0), 0.25) == 0.25
+    assert Exponential(1.0).quantile(0.0) == 0.0
+    assert Uniform(hi=1.0).quantile(0.25) == 0.25
     # the atom holds everything past F(r-) = 1 - 0.1/1.1
-    assert sample(PFamily(eps=0.1, r=1.0), 0.95) == 1.0
-
-
-def test_sample_rejects_bad_u():
-    with pytest.raises(ValueError):
-        sample(Exponential(1.0), 1.0)
-    with pytest.raises(ValueError):
-        sample(Exponential(1.0), -0.2)
+    assert PFamily(eps=0.1, r=1.0).quantile(0.95) == 1.0
 
 
 def test_quantile_cdf_roundtrip():
@@ -304,7 +296,7 @@ def test_sampling_reproduces_cdf_ks():
     n = 1_000_000
     u = rng.random(n)
     for dist in (Exponential(1.0), Uniform(hi=2.0), GFamily(phi=ALPHA, r=1.0, eps=1e-6)):
-        x = np.sort(np.asarray(sample(dist, u)))
+        x = np.sort(np.asarray(dist.quantile(u)))
         f = np.asarray(dist.cdf(x))
         emp_hi = np.arange(1, n + 1) / n
         emp_lo = np.arange(0, n) / n
@@ -312,7 +304,7 @@ def test_sampling_reproduces_cdf_ks():
         assert ks < 0.01, dist
     # atom frequency matches its mass
     p = PFamily(eps=0.1, r=1.0)
-    x = np.asarray(sample(p, u))
+    x = np.asarray(p.quantile(u))
     freq = np.mean(x == 1.0)
     mass = p.atoms[0][1]
     assert abs(freq - mass) < 4.0 * math.sqrt(mass * (1.0 - mass) / n)
