@@ -123,8 +123,9 @@ def loss_numeric(
     only the cdf), `method="density"` integrates x d(F/F(r))^k directly.
     Known kinks and atom locations are passed to the quadrature as
     breakpoints. The conditioning probability appears inside the integrand
-    so the absolute quadrature tolerance (1e-10) carries over to the
-    conditional value.
+    so the quadrature tolerance, 1e-10 * max(1, r), carries over to the
+    conditional value; it grows with r because an integral of size r
+    rounds at about 1e-16 * r, and a smaller target never converges.
 
     `k` is an int, giving a float, or a sequence of ints (a k sweep),
     giving a tuple with one loss per k in order. Each k keeps its own
@@ -161,7 +162,8 @@ def loss_numeric(
             return lambda x: weight(x) ** j
         return lambda x: x * j * weight(x) ** (j - 1) * density(x) / phi
 
-    areas = [adaptive_simpson(integrand(j), 0.0, r, tol=1e-10, breakpoints=breaks) for j in ks]
+    tol = 1e-10 * max(1.0, r)
+    areas = [adaptive_simpson(integrand(j), 0.0, r, tol=tol, breakpoints=breaks) for j in ks]
     losses = tuple(r - a for a in areas) if method == "cdf" else tuple(areas)
     return losses[0] if scalar else losses
 
@@ -280,7 +282,8 @@ def loss_p_unconditional(eps: float, r: float, k: int) -> float:
     F(x) = x/(x+eps) below the cap, so the integrand is
     k*eps*x^k/(x+eps)^(k+1). This is the unconditional shortfall (already
     weighted by the below-cap probability), the quantity the counterexample
-    search pits against the extra-bidder gain.
+    search pits against the extra-bidder gain. The quadrature tolerance is
+    1e-10 * max(1, r), as in `loss_numeric`.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -288,7 +291,7 @@ def loss_p_unconditional(eps: float, r: float, k: int) -> float:
     def integrand(x):
         return k * eps * x**k / (x + eps) ** (k + 1)
 
-    return adaptive_simpson(integrand, 0.0, r, tol=1e-10)
+    return adaptive_simpson(integrand, 0.0, r, tol=1e-10 * max(1.0, r))
 
 
 class Counterexample(NamedTuple):

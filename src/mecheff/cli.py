@@ -166,7 +166,7 @@ class ExperimentConfig:
     t: int = _option("--t", _parse_int, "number of identical items", default=1)
     m: object = _option("--m", _parse_m, "extra bidders: int, range a..b, or 'auto'", default="auto")
     n_trials: int = _option("--n", _parse_int, "Monte Carlo trials", default=1_000_000)
-    seed: int = _option("--seed", _parse_int, "RNG seed (64-bit)", default=12345)
+    seed: int = _option("--seed", _parse_int, "RNG seed, an integer in [0, 2**64)", default=12345)
     output_path: str | None = _option(
         "--out", str, "output prefix; writes <out>.csv and <out>.json", default=None
     )
@@ -291,7 +291,7 @@ def _run_gainloss(cfg, dist):
         "loss": losses,
         "loss_extremal": extremal,
         "diff": list(map(operator.sub, gains, losses)),
-        "pass": [loss <= bound + 1e-8 for loss, bound in zip(losses, extremal)],
+        "pass": [loss <= bound + 1e-8 * max(1.0, r) for loss, bound in zip(losses, extremal)],
     }
     return columns, {"phi": phi, "r": r}
 
@@ -393,7 +393,13 @@ def _run_regular_cx(cfg, dist):
     return columns, {"r": r, "margin_target": margin_target}
 
 
+def _single_item(cfg):
+    if cfg.t != 1:
+        raise ConfigError(f"{cfg.experiment} is single-item: t must be 1, got {cfg.t}")
+
+
 def _run_ratio(cfg, dist):
+    _single_item(cfg)
     ests = simulate.efficiency_ratio(dist, cfg.k, cfg.n_trials, cfg.seed)
     eff_floors = [1.0 - ALPHA**k for k in cfg.k]
     rev_floors = [1.0 - ALPHA ** (k - 1) for k in cfg.k]
@@ -415,6 +421,7 @@ def _run_ratio(cfg, dist):
 
 
 def _run_bk(cfg, dist):
+    _single_item(cfg)
     pcs = simulate.revenue_compare_bk(dist, cfg.k, cfg.n_trials, cfg.seed)
     columns = {
         "k": cfg.k,
@@ -496,11 +503,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         },
     }
     if cfg.output_path:
-        prefix = Path(cfg.output_path)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        prefix.with_suffix(".csv").write_text(csv_text, encoding="utf-8")
-        prefix.with_suffix(".json").write_text(_summary_json(head, columns) + "\n", encoding="utf-8")
-        print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {prefix.with_suffix('.csv')}")
+        # the prefix is taken literally: a dot in its last part is no suffix
+        csv_path, json_path = Path(cfg.output_path + ".csv"), Path(cfg.output_path + ".json")
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text(csv_text, encoding="utf-8")
+        json_path.write_text(_summary_json(head, columns) + "\n", encoding="utf-8")
+        print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {csv_path}")
     else:
         if experiment.csv_to_stdout:
             sys.stdout.write(csv_text)

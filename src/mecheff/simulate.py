@@ -1,34 +1,40 @@
 """Seeded Monte Carlo estimation of expected efficiency and revenue.
 
-Comparisons couple the two mechanisms on common random numbers: each trial
-draws k+extra values, the efficiency-maximizing auction sees the first k
-and the reserve-price auction sees them all, so the difference estimator
-inherits the positive correlation of the shared draws.
+Every estimate reads declared columns `(width, reserve, stat)`: the
+t-item second-price rule at `reserve` (0 for the efficiency-maximizing
+auction, the monopoly reserve for the reserve-price auction) on the first
+`width` values of a trial's draw, `stat` 0 for efficiency and 1 for
+revenue. An estimator declares one row of columns per comparison, and
+`_moment_scan` reduces each row to the first and second cross moments of
+its columns. A row's columns share each trial's draw, so EMA(k) against
+RMA(k+extra) sees the first k of the same k+extra values, and the
+difference estimator inherits the positive correlation of these common
+random numbers.
 
 Both mechanisms read the same two order statistics of a value matrix: the
 t highest values and the (t+1)-th highest. Every `quantile` is
 nondecreasing (a `ValueDistribution` contract), so it maps the order
 statistics of the uniforms onto those of the values: `_select` keeps each
 row's top t+1 uniforms in registers through one compare-exchange pass over
-the columns, reads them at every prefix width a comparison needs, and
-sends only those t+1 columns through `quantile`. `_second_price` turns
-that pair into per-trial efficiency and revenue under one rule, at reserve
-0 for the efficiency-maximizing auction and at the monopoly reserve for the
-reserve-price auction. It adds the winners column by column, highest
+the columns, reads them at every width a row declares, and sends only
+those t+1 columns through `quantile`. `_second_price` turns that pair into
+per-trial efficiency and revenue under one rule, once per distinct
+`(width, reserve)` of a row. It adds the winners column by column, highest
 first, as the per-bid reference `auctions.ema`/`auctions.rma` do.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
 counter b << 192 under the run's seed. The stream is one flat run of
-doubles, and a width-n config reads its first rows*n as a (rows, n)
-matrix, exactly what drawing that shape alone gives; so one draw per batch
-at the widest width feeds every row of an experiment. Every trial's draws
-are therefore a pure function of (seed, trial index, width), and partial
-sums are merged per config in batch order, so results are bitwise
-identical for any worker count and for any set of rows run together. The
-MECH_EFF_THREADS environment variable, the only thread control, caps the
-thread pool; absent, the pool has one thread per CPU in the process's
-affinity mask, at most 8.
+doubles, and a row of widest width n reads its first trials*n as a
+(trials, n) matrix, exactly what drawing that shape alone gives; so one
+draw per batch at the widest width feeds every row of an experiment. The
+seed is an integer in [0, 2**64), the Philox key. Every trial's draws are
+therefore a pure function of (seed, trial index, width), and partial sums
+are merged per row in batch order, so results are bitwise identical for
+any worker count and for any set of rows run together. The MECH_EFF_THREADS
+environment variable, the only thread control, caps the thread pool;
+absent, the pool has one thread per CPU in the process's affinity mask, at
+most 8.
 
 The bytes are fixed per numpy build, SIMD dispatch and BLAS kernel: the
 `Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`, and the
@@ -55,12 +61,10 @@ _MECHANISMS = ("ema", "rma")
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo mean with its standard error and seed provenance."""
+    """Monte Carlo mean with its standard error."""
 
     mean: float
     std_err: float
-    n: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,6 @@ class RatioEstimate:
     eff_ratio_std_err: float
     rev_ratio: float
     rev_ratio_std_err: float
-    n: int
-    seed: int
 
 
 def _resolve_threads():
@@ -115,29 +117,44 @@ def _resolve_threads():
 
 
 def _batch_uniforms(seed: int, batch_index: int, size):
-    bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF, counter=batch_index << 192)
+    bitgen = np.random.Philox(key=seed, counter=batch_index << 192)
     return np.random.Generator(bitgen).random(size)
 
 
-def _moment_scan(configs, n_trials, seed):
-    """First and second cross moments of the per-trial statistics, per config.
+def _moment_scan(dist, t, rows, n_trials, seed):
+    """First and second cross moments of each row's declared columns.
 
-    configs is a sequence of (n_cols, stat_fn); stat_fn maps a (rows, n_cols)
-    uniform matrix to a tuple of per-trial stat arrays. Each batch draws its
-    uniforms once, at the widest config. Returns one (sum vector,
-    cross-product matrix) per config, in order.
+    Each row is a sequence of columns `(width, reserve, stat)`: the t-item
+    second-price rule at `reserve` on the first `width` values of the
+    trial's draw, `stat` 0 for efficiency and 1 for revenue. Each batch
+    draws its uniforms once, at the widest width of any row; each row
+    selects once, at its distinct widths, and prices each distinct
+    `(width, reserve)` once. Returns one (sum vector, cross-product matrix)
+    per row, in order, with the columns in their declared order.
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     n_batches = -(-n_trials // BATCH_TRIALS)
-    width = max(n_cols for n_cols, _ in configs)
+    widest = max(width for row in rows for width, _, _ in row)
+
+    def columns(flat, trials, row):
+        # a frame of its own: the selections and the unused statistics are
+        # freed on return, before the columns are stacked
+        widths = tuple(sorted({w for w, _, _ in row}))
+        u = flat[: trials * widths[-1]].reshape(trials, widths[-1])
+        pairs = dict(zip(widths, _select(u, t, dist.quantile, widths)))
+        rules = dict.fromkeys((w, r) for w, r, _ in row)  # distinct, in declared order
+        priced = {(w, r): _second_price(*pairs[w], r) for w, r in rules}
+        return [priced[w, r][stat] for w, r, stat in row]
 
     def one(b):
-        rows = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
-        flat = _batch_uniforms(seed, b, rows * width)
+        trials = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
+        flat = _batch_uniforms(seed, b, trials * widest)
         out = []
-        for n_cols, stat_fn in configs:
-            stats = np.column_stack(stat_fn(flat[: rows * n_cols].reshape(rows, n_cols)))
+        for row in rows:
+            stats = np.column_stack(columns(flat, trials, row))
             out.append((stats.sum(axis=0), stats.T @ stats))
         return out
 
@@ -152,10 +169,10 @@ def _moment_scan(configs, n_trials, seed):
     return moments
 
 
-def _estimate(s1_i, s2_ii, n, seed) -> Estimate:
+def _estimate(s1_i, s2_ii, n) -> Estimate:
     mean = s1_i / n
     var = (s2_ii - n * mean * mean) / (n - 1) if n > 1 else 0.0
-    return Estimate(mean=float(mean), std_err=math.sqrt(max(0.0, var) / n), n=n, seed=seed)
+    return Estimate(mean=float(mean), std_err=math.sqrt(max(0.0, var) / n))
 
 
 def _cov(s1, s2, n, i, j) -> float:
@@ -164,15 +181,15 @@ def _cov(s1, s2, n, i, j) -> float:
     return float((s2[i, j] - s1[i] * s1[j] / n) / (n - 1))
 
 
-def _paired(s1, s2, n, seed, a) -> PairedEstimate:
-    """Paired estimate of stat a minus stat 1-a; stat 0 is EMA's, stat 1 RMA's."""
+def _paired(s1, s2, n, a) -> PairedEstimate:
+    """Paired estimate of column a minus column 1-a; column 0 is EMA's, 1 RMA's."""
     b = 1 - a
-    diff = _estimate(s1[a] - s1[b], s2[a, a] + s2[b, b] - 2.0 * s2[0, 1], n, seed)
+    diff = _estimate(s1[a] - s1[b], s2[a, a] + s2[b, b] - 2.0 * s2[0, 1], n)
     return PairedEstimate(
         diff_mean=diff.mean,
         diff_std_err=diff.std_err,
-        ema=_estimate(s1[0], s2[0, 0], n, seed),
-        rma=_estimate(s1[1], s2[1, 1], n, seed),
+        ema=_estimate(s1[0], s2[0, 0], n),
+        rma=_estimate(s1[1], s2[1, 1], n),
     )
 
 
@@ -237,15 +254,11 @@ def estimate_mechanism(
     if mech not in _MECHANISMS:
         raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
     reserve = reserve_price(dist) if mech == "rma" else 0.0
-
-    def stat_fn(u):
-        [pair] = _select(u, t, dist.quantile, (n_bidders,))
-        return _second_price(*pair, reserve)
-
-    [(s1, s2)] = _moment_scan([(n_bidders, stat_fn)], n_trials, seed)
+    row = ((n_bidders, reserve, 0), (n_bidders, reserve, 1))
+    [(s1, s2)] = _moment_scan(dist, t, [row], n_trials, seed)
     return MechanismEstimate(
-        efficiency=_estimate(s1[0], s2[0, 0], n_trials, seed),
-        revenue=_estimate(s1[1], s2[1, 1], n_trials, seed),
+        efficiency=_estimate(s1[0], s2[0, 0], n_trials),
+        revenue=_estimate(s1[1], s2[1, 1], n_trials),
     )
 
 
@@ -267,16 +280,9 @@ def paired_compare(
     if not pairs or t < 1 or any(k < 1 or extra < 0 for k, extra in pairs):
         raise ValueError("need k >= 1, extra >= 0, t >= 1")
     r = reserve_price(dist)
-
-    def config(k, extra):
-        def stat_fn(u):
-            ema, rma = _select(u, t, dist.quantile, (k, k + extra))
-            return _second_price(*ema, 0.0)[0], _second_price(*rma, r)[0]
-
-        return k + extra, stat_fn
-
-    moments = _moment_scan([config(k, extra) for k, extra in pairs], n_trials, seed)
-    return tuple(_paired(s1, s2, n_trials, seed, a=1) for s1, s2 in moments)
+    rows = [((k, 0.0, 0), (k + extra, r, 0)) for k, extra in pairs]
+    moments = _moment_scan(dist, t, rows, n_trials, seed)
+    return tuple(_paired(s1, s2, n_trials, a=1) for s1, s2 in moments)
 
 
 def revenue_compare_bk(
@@ -295,16 +301,9 @@ def revenue_compare_bk(
     if not ks or any(k < 1 for k in ks):
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
-
-    def config(k):
-        def stat_fn(u):
-            rma, ema = _select(u, 1, dist.quantile, (k, k + 1))
-            return _second_price(*ema, 0.0)[1], _second_price(*rma, r)[1]
-
-        return k + 1, stat_fn
-
-    moments = _moment_scan([config(k) for k in ks], n_trials, seed)
-    return tuple(_paired(s1, s2, n_trials, seed, a=0) for s1, s2 in moments)
+    rows = [((k + 1, 0.0, 1), (k, r, 1)) for k in ks]
+    moments = _moment_scan(dist, 1, rows, n_trials, seed)
+    return tuple(_paired(s1, s2, n_trials, a=0) for s1, s2 in moments)
 
 
 def efficiency_ratio(
@@ -323,18 +322,12 @@ def efficiency_ratio(
     if not ks or any(k < 1 for k in ks):
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
-
-    def stat_fn(u):
-        [(top, runner_up)] = _select(u, 1, dist.quantile, (u.shape[1],))
-        eff_e, rev_e = _second_price(top, runner_up, 0.0)
-        eff_r, rev_r = _second_price(top, runner_up, r)
-        return eff_e, eff_r, rev_e, rev_r
-
-    moments = _moment_scan([(k, stat_fn) for k in ks], n_trials, seed)
-    return tuple(_ratio(s1, s2, n_trials, seed) for s1, s2 in moments)
+    rows = [((k, 0.0, 0), (k, r, 0), (k, 0.0, 1), (k, r, 1)) for k in ks]
+    moments = _moment_scan(dist, 1, rows, n_trials, seed)
+    return tuple(_ratio(s1, s2, n_trials) for s1, s2 in moments)
 
 
-def _ratio(s1, s2, n, seed) -> RatioEstimate:
+def _ratio(s1, s2, n) -> RatioEstimate:
     """Ratio estimate from the moments of (eff EMA, eff RMA, rev EMA, rev RMA)."""
     means = s1 / n
 
@@ -355,6 +348,4 @@ def _ratio(s1, s2, n, seed) -> RatioEstimate:
         eff_ratio_std_err=eff_err,
         rev_ratio=rev_ratio,
         rev_ratio_std_err=rev_err,
-        n=n,
-        seed=seed,
     )

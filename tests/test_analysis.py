@@ -528,6 +528,31 @@ def test_counterexample_unreachable_margin():
         regular_counterexample_search(1, 1, 1.0, margin=10.0)
 
 
+def test_quadrature_returns_and_scales_at_large_r(monkeypatch):
+    # a tolerance fixed at 1e-10 lies below the rounding noise of an integral
+    # of size r = 1e9, and adaptive Simpson would recurse to its depth cap
+    evals = 0
+    simpson = analysis.adaptive_simpson
+
+    def counted(f, *args, **kwargs):
+        def g(x):
+            nonlocal evals
+            evals += 1
+            assert evals < 100_000, "the quadrature is not converging"
+            return f(x)
+
+        return simpson(g, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "adaptive_simpson", counted)
+    r = 1e9
+    unit = loss_numeric(GFamily(phi=0.5, r=1.0), [1, 2])
+    for loss, unit_loss in zip(loss_numeric(GFamily(phi=0.5, r=r), [1, 2]), unit):
+        assert loss / r == pytest.approx(unit_loss, rel=1e-8)
+    cx, unit_cx = regular_counterexample_search(2, 3, r=r), regular_counterexample_search(2, 3)
+    assert cx.eps == r * unit_cx.eps
+    assert cx.loss / r == pytest.approx(unit_cx.loss, rel=1e-8)
+
+
 def test_counterexample_sweep_equals_per_m_calls():
     ms = [3, 1, 8, 2, 11, 5, 3]
     for k, r in ((1, 1.0), (3, 1.0), (2, 5.0)):

@@ -133,6 +133,26 @@ def test_ratio_and_bk_smoke(tmp_path):
                  "--seed", "5", "--out", str(tmp_path / "b")]) == 0
 
 
+def test_ratio_and_bk_refuse_multiple_items(tmp_path):
+    # both estimators are single-item; a t they never read would still be echoed
+    for name in ("ratio", "bk"):
+        assert main([name, "--k", "2", "--n", "2000", "--t", "3", "--out", str(tmp_path / name)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_seed_outside_64_bits_exits_2():
+    for seed in ("-1", "18446744073709551616", "36893488147419103231"):
+        assert main(["thm1", "--k", "2", "--n", "1000", "--seed", seed]) == 2
+
+
+def test_dotted_out_prefix_is_taken_literally(tmp_path, capsys):
+    for prefix in ("run.v2", "r.1", "r.2"):
+        assert main(["bounds", "--k", "1..3", "--out", str(tmp_path / prefix)]) == 0
+        assert capsys.readouterr().out == f"bounds: PASS -> {tmp_path / prefix}.csv\n"
+    names = ["r.1.csv", "r.1.json", "r.2.csv", "r.2.json", "run.v2.csv", "run.v2.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 def test_thm3_smoke(tmp_path):
     rc = main(["thm3", "--dist", "exponential:1", "--k", "20", "--t", "2",
                "--n", "100000", "--seed", "5", "--out", str(tmp_path / "t3")])

@@ -95,8 +95,34 @@ def test_mechanism_name_validation():
 
 def test_estimate_fields():
     est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 1000, seed=21)
-    assert est.efficiency.n == 1000 and est.efficiency.seed == 21
     assert est.efficiency.std_err >= 0.0
+
+
+def test_seed_range_both_ends():
+    # the seed is the 64-bit Philox key: no seed outside [0, 2**64) aliases one inside
+    for seed in (0, 2**64 - 1):
+        estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 10, seed=seed)
+    for seed in (-1, 2**64, 2**65 - 1):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 10, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Uniform(hi=1.0), Exponential(1.0), GFamily(phi=ALPHA, r=1.0), PFamily(eps=0.5, r=1.0)],
+    ids=lambda dist: type(dist).__name__,
+)
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_declared_column_is_one_estimate_in_every_estimator(dist, t):
+    # the same (width, reserve, stat) column, bit for bit, whichever estimator
+    # declares it; two batches, the second short
+    n, k = BATCH_TRIALS + 77, 4
+    alone = {mech: estimate_mechanism(dist, k, t, mech, n, seed=31) for mech in ("ema", "rma")}
+    (pc,) = paired_compare(dist, [(k, 0)], t, n, seed=31)
+    assert pc.ema == alone["ema"].efficiency
+    assert pc.rma == alone["rma"].efficiency
+    (bk,) = revenue_compare_bk(dist, [k], n, seed=31)
+    assert bk.ema == estimate_mechanism(dist, k + 1, 1, "ema", n, seed=31).revenue
 
 
 def test_paired_compare_nothing_excluded():
