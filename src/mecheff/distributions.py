@@ -57,7 +57,9 @@ class ValueDistribution(ABC):
 
     Contract: `quantile` is nondecreasing on [0, 1) in floating point, not
     only in exact arithmetic, so an order statistic of the uniforms maps to
-    the same order statistic of the values.
+    the same order statistic of the values. It maps [0, 1) to finite values
+    at least +0.0, never -0.0, and acts elementwise whatever the memory
+    layout of its input.
     """
 
     @property

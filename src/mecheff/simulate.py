@@ -37,9 +37,11 @@ absent, the pool has one thread per CPU in the process's affinity mask, at
 most 8.
 
 The bytes are fixed per numpy build, SIMD dispatch and BLAS kernel: the
-`Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`, and the
-BLAS kernel of each batch's cross-moment product (picked for the CPU, or by
-`OPENBLAS_CORETYPE`) sets the standard errors' last digits.
+`Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`. Each
+batch's column sums run in trial order through `einsum`, bit for bit
+`sum(axis=0)` on a row of two or more columns, so only the BLAS kernel of
+its cross-moment product (picked for the CPU, or by `OPENBLAS_CORETYPE`)
+sets the standard errors' last digits.
 """
 
 from __future__ import annotations
@@ -130,8 +132,12 @@ def _moment_scan(dist, t, rows, n_trials, seed):
     draws its uniforms once, at the widest width of any row; each row
     selects once, at its distinct widths, and prices each distinct
     `(width, reserve)` once. Returns one (sum vector, cross-product matrix)
-    per row, in order, with the columns in their declared order.
+    per row, in order, with the columns in their declared order. A row
+    needs two or more columns: the column sums match `sum(axis=0)` bit
+    for bit only there.
     """
+    if any(len(row) < 2 for row in rows):
+        raise ValueError("every row needs at least two columns")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if n_trials < 1:
@@ -155,7 +161,8 @@ def _moment_scan(dist, t, rows, n_trials, seed):
         out = []
         for row in rows:
             stats = np.column_stack(columns(flat, trials, row))
-            out.append((stats.sum(axis=0), stats.T @ stats))
+            # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop
+            out.append((np.einsum("ij->j", stats), stats.T @ stats))
         return out
 
     with ThreadPoolExecutor(max_workers=_resolve_threads()) as pool:
@@ -202,8 +209,10 @@ def _select(u, t, quantile, widths):
     by compare-exchange with `np.maximum` and `np.minimum` (Knuth, TAOCP
     vol. 3, 5.3.4), which select exactly the values a sort would.
     `quantile` is nondecreasing, so it maps the registers onto the values'
-    top t+1, and only those columns are mapped; `_second_price` adds the
-    winners column by column.
+    top t+1, and only those columns are mapped. The registers are stacked
+    as rows, so each value column `_second_price` reads, and the
+    runner-up, is a contiguous row of the mapped block; `_second_price`
+    adds the winners column by column.
     """
     rows = len(u)
     regs, pairs = [], []
@@ -216,9 +225,9 @@ def _select(u, t, quantile, widths):
         else:  # fewer than t+1 columns seen: x is the lowest so far
             regs.append(x)
         if j in widths:
-            desc = np.asarray(quantile(np.stack(regs, axis=1)))
-            runner_up = desc[:, t] if j > t else np.zeros(rows)
-            pairs += [(desc[:, :t], runner_up)] * widths.count(j)
+            desc = np.asarray(quantile(np.stack(regs)))
+            runner_up = desc[t] if j > t else np.zeros(rows)
+            pairs += [(desc[:t].T, runner_up)] * widths.count(j)
     return tuple(pairs)
 
 
@@ -226,15 +235,18 @@ def _second_price(top, runner_up, reserve):
     """Per-trial efficiency and revenue when the top bidders at or above the
     reserve (0 for EMA) win and pay max(reserve, runner-up). The winners are
     added column by column, highest first, in `auctions`' order for every t;
-    numpy's row sum would add 8 or more terms pairwise."""
+    numpy's row sum would add 8 or more terms pairwise. Each column's winner
+    mask multiplies its value: a `quantile` value is finite and at least
+    +0.0, so `value * cleared` is `np.where(cleared, value, 0.0)` bit for
+    bit."""
     columns = iter(top.T)
     value = next(columns)
     cleared = value >= reserve
-    eff = np.where(cleared, value, 0.0)
+    eff = value * cleared
     won = cleared.astype(float)
     for value in columns:
         cleared = value >= reserve
-        eff += np.where(cleared, value, 0.0)
+        eff += value * cleared
         won += cleared
     return eff, won * np.maximum(reserve, runner_up)
 

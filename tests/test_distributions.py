@@ -268,6 +268,56 @@ def test_quantile_nondecreasing(dist, draws):
     assert np.all(np.diff(x) >= 0.0), dist
 
 
+# several parameters per built-in family, extremes included
+QUANTILE_CASES = [
+    Exponential(1.0),
+    Exponential(1e-3),
+    Exponential(1e9),
+    Uniform(hi=1.0),
+    Uniform(hi=1e-3),
+    Uniform(hi=1e3),
+    GFamily(phi=ALPHA, r=1.0),
+    GFamily(phi=0.0, r=1.0),
+    GFamily(phi=0.3, r=1e-3, eps=1e-9),
+    GFamily(phi=0.5, r=1e3, eps=1.0),
+    PFamily(eps=0.5, r=1.0),
+    PFamily(eps=1e-6, r=1e-3),
+    PFamily(eps=1e3, r=1e3),
+]
+assert {type(dist) for dist in QUANTILE_CASES} == set(FAMILIES.values())
+
+
+def quantile_points(dist, rng, size):
+    """`size` points of [0, 1): u = 0, 1e-300, the largest double below 1 and
+    the ulps around the family's branch points, then uniform draws."""
+    near = branch_ulps(dist)
+    fixed = np.concatenate([[0.0, 1e-300, np.nextafter(1.0, 0.0)], near[(near >= 0.0) & (near < 1.0)]])
+    return np.concatenate([fixed, rng.random(size - len(fixed))])
+
+
+@pytest.mark.parametrize("dist", QUANTILE_CASES, ids=repr)
+def test_quantile_is_finite_and_never_negative_zero(dist):
+    # `simulate._second_price` multiplies a value by its winner mask, which
+    # equals np.where(mask, value, 0.0) only for finite values >= +0.0
+    u = quantile_points(dist, np.random.default_rng(5), 4096)
+    for x in (np.asarray(dist.quantile(u)), np.array([dist.quantile(float(v)) for v in u[:3]])):
+        assert np.all(np.isfinite(x)), dist
+        assert np.all(x >= 0.0) and not np.any(np.signbit(x)), dist
+
+
+@pytest.mark.parametrize("dist", QUANTILE_CASES, ids=repr)
+@pytest.mark.parametrize("t", range(1, 6))
+def test_quantile_does_not_depend_on_layout(dist, t):
+    # `simulate._select` maps its t+1 registers stacked as rows, so a
+    # register block must map to the same bits in either memory layout
+    rng = np.random.default_rng(t)
+    u = rng.permutation(quantile_points(dist, rng, 16384 * (t + 1)))
+    block = np.ascontiguousarray(np.sort(u.reshape(16384, t + 1), axis=1)[:, ::-1])
+    rows_first = np.asarray(dist.quantile(block))
+    for registers in (block.T, np.ascontiguousarray(block.T)):
+        assert np.asarray(dist.quantile(registers)).T.tobytes() == rows_first.tobytes()
+
+
 def test_hazard_identity():
     for dist in CONTINUOUS:
         u = np.linspace(0.01, 0.95, 95)

@@ -250,6 +250,60 @@ def test_batched_stats_match_per_bid_auctions(batch):
         assert eff_r[i] == r.efficiency and rev_r[i] == r.revenue
 
 
+def second_price_where(top, runner_up, reserve):
+    """`_second_price` with each winner added through np.where."""
+    columns = iter(top.T)
+    value = next(columns)
+    cleared = value >= reserve
+    eff = np.where(cleared, value, 0.0)
+    won = cleared.astype(float)
+    for value in columns:
+        cleared = value >= reserve
+        eff += np.where(cleared, value, 0.0)
+        won += cleared
+    return eff, won * np.maximum(reserve, runner_up)
+
+
+@st.composite
+def priced_block(draw):
+    """(top, runner_up, reserve): rows of t+1 descending values, t in 1..12,
+    laid out as `_select` returns them, with zeros and values equal to the
+    reserve among them."""
+    t, rows = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    reserve = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0))
+    entry = st.sampled_from([0.0, reserve]) | st.floats(0.0, 10.0)
+    values = np.array(draw(st.lists(entry, min_size=rows * (t + 1), max_size=rows * (t + 1))))
+    desc = np.ascontiguousarray(np.sort(values.reshape(rows, t + 1), axis=1)[:, ::-1].T)
+    return desc[:t].T, desc[t], reserve
+
+
+@given(priced_block())
+@settings(max_examples=300, deadline=None)
+def test_second_price_mask_multiply_matches_where(block):
+    # a value times its winner mask is np.where(mask, value, 0.0), bit for
+    # bit, for the finite values >= +0.0 every quantile returns
+    for ours, ref in zip(_second_price(*block), second_price_where(*block)):
+        assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("c", range(2, 9))
+def test_column_sums_einsum_equal_sum(c):
+    # `_moment_scan` sums each batch's columns with einsum; from two columns
+    # on it adds in sum(axis=0)'s trial order, so the bits agree
+    rng = np.random.default_rng(c)
+    for n in (1, 2, 3, 7, 100, BATCH_TRIALS - 1, BATCH_TRIALS):
+        stats = rng.exponential(size=(n, c)) * 10.0 ** rng.integers(-8, 9, size=(n, c))
+        stats[rng.random((n, c)) < 0.2] = 0.0
+        repeats = rng.random((n, c)) < 0.2
+        stats[repeats] = rng.choice([0.1, 1.0, 3.0], size=repeats.sum())
+        assert np.einsum("ij->j", stats).tobytes() == stats.sum(axis=0).tobytes(), (n, c)
+
+
+def test_one_column_row_is_refused():
+    with pytest.raises(ValueError, match="two columns"):
+        simulate._moment_scan(Uniform(hi=1.0), 1, [((2, 0.0, 0),)], 10, seed=0)
+
+
 @st.composite
 def uniforms_near_branches(draw):
     """(dist, u, t): a distribution of any family in FAMILIES and a uniform
