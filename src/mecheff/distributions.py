@@ -59,7 +59,8 @@ class ValueDistribution(ABC):
     only in exact arithmetic, so an order statistic of the uniforms maps to
     the same order statistic of the values. It maps [0, 1) to finite values
     at least +0.0, never -0.0, and acts elementwise whatever the memory
-    layout of its input.
+    layout of its input. At u = 1 a family with bounded support returns
+    the top of its support; inputs outside [0, 1] are outside the contract.
     """
 
     @property
@@ -243,11 +244,26 @@ class GFamily(ValueDistribution):
     def quantile(self, u):
         u, scalar = _promote(u)
         t, r, eps, phi = self.t_knot, self.r, self.eps, self.phi
-        out = np.empty(u.shape)
         low = u <= phi
-        # capped at r: rounding may put the low branch's top an ulp above it
-        out[low] = np.minimum(t - r * np.log1p(-u[low]), r)
-        out[~low] = r + eps * (u[~low] - phi) / (1.0 - phi)
+        # Both branches run over every element, each in its own operation
+        # order, and a mask multiply keeps one. On [0, 1] both are finite:
+        # the cap at r absorbs rounding an ulp above r and log1p(-1) = -inf.
+        # So the other branch adds x * 0 = +-0, which leaves every kept
+        # value, never -0.0, unchanged. Gathers and scatters by a random
+        # mask cost several times this arithmetic.
+        out = np.negative(u)
+        with np.errstate(divide="ignore"):
+            np.log1p(out, out=out)
+        out *= r
+        np.subtract(t, out, out=out)
+        np.minimum(out, r, out=out)
+        out *= low
+        high = u - phi
+        high *= eps
+        high /= 1.0 - phi
+        high += r
+        high *= ~low
+        out += high
         return _demote(out, scalar)
 
 

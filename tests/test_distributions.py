@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,8 +315,62 @@ def test_quantile_does_not_depend_on_layout(dist, t):
     u = rng.permutation(quantile_points(dist, rng, 16384 * (t + 1)))
     block = np.ascontiguousarray(np.sort(u.reshape(16384, t + 1), axis=1)[:, ::-1])
     rows_first = np.asarray(dist.quantile(block))
-    for registers in (block.T, np.ascontiguousarray(block.T)):
+    strided = np.empty((t + 1, 2 * 16384))
+    strided[:, ::2] = block.T
+    for registers in (block.T, np.ascontiguousarray(block.T), strided[:, ::2]):
         assert np.asarray(dist.quantile(registers)).T.tobytes() == rows_first.tobytes()
+
+
+def g_quantile_masked(dist, u):
+    """`GFamily.quantile` on an array, each branch evaluated only where its
+    mask holds."""
+    t, r, eps, phi = dist.t_knot, dist.r, dist.eps, dist.phi
+    out = np.empty(u.shape)
+    low = u <= phi
+    out[low] = np.minimum(t - r * np.log1p(-u[low]), r)
+    out[~low] = r + eps * (u[~low] - phi) / (1.0 - phi)
+    return out
+
+
+@st.composite
+def g_family_points(draw):
+    """(dist, u, t): a G family with r across 18 decades and eps from 1e-12 r
+    to 1e3 r, and u holding 1.0 and its quantile points, then uniform draws
+    up to t+1 rows of 64."""
+    phi = draw(st.sampled_from([0.0, 1e-12, 0.3, 0.5, ALPHA]) | st.floats(0.0, ALPHA))
+    r = 10.0 ** draw(st.floats(-9.0, 9.0))
+    dist = GFamily(phi=phi, r=r, eps=r * 10.0 ** draw(st.floats(-12.0, 3.0)))
+    t = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return dist, np.append(1.0, quantile_points(dist, rng, 64 * (t + 1) - 1)), t
+
+
+@given(g_family_points())
+@settings(max_examples=300, deadline=None)
+def test_g_quantile_matches_masked_form(case):
+    # the branch-free quantile keeps each branch's operations in order and
+    # adds the other branch times zero, so it equals the masked form bit for bit
+    dist, u, t = case
+    for v in u[:22]:  # 1.0 and the at most 21 fixed points of quantile_points
+        assert np.float64(dist.quantile(float(v))).tobytes() == g_quantile_masked(dist, v[None]).tobytes()
+    assert np.asarray(dist.quantile(u)).tobytes() == g_quantile_masked(dist, u).tobytes()
+    rows = np.random.default_rng(t).permutation(u).reshape(t + 1, 64)
+    strided = np.empty((t + 1, 128))
+    strided[:, ::2] = rows
+    expected = g_quantile_masked(dist, rows).tobytes()
+    for block in (rows, np.asfortranarray(rows), strided[:, ::2]):
+        assert np.ascontiguousarray(dist.quantile(block)).tobytes() == expected, block.flags
+
+
+@pytest.mark.parametrize("phi", [0.0, ALPHA])
+@pytest.mark.parametrize("r, eps", [(1.0, None), (1e-3, 1e-9), (1e3, 1.0), (5.0, 7.0)])
+def test_g_quantile_at_one_is_top_of_slab(phi, r, eps):
+    # log1p(-1) = -inf in the low branch, which the cap at r absorbs silently
+    g = GFamily(phi=phi, r=r, eps=eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g.quantile(1.0) == g.r + g.eps
+        assert np.asarray(g.quantile(np.array([0.5, 1.0])))[1] == g.r + g.eps
 
 
 def test_hazard_identity():
