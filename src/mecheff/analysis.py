@@ -49,6 +49,7 @@ __all__ = [
     "q_poly",
     "upper_bound_m",
     "lower_bound_m",
+    "EPSILON_SLACK",
     "multi_item_s",
     "multi_gain_exact",
     "loss_p_unconditional",
@@ -60,6 +61,8 @@ _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
 _MAX_TERMS = 10_000_000
 _LOG_CUTOFF = math.log(1e-20)
 _BLOCK_ELEMS = 1 << 16
+# the (1+eps) slack of the t-item bound 2.2 log k + t*Theta(log log k)
+EPSILON_SLACK = 0.1
 
 
 def _tail_series(x, k: int):
@@ -242,9 +245,9 @@ def lower_bound_m(k):
     return _bound(k, formula)
 
 
-def multi_item_s(t: int, m: int, epsilon_slack: float) -> int:
+def multi_item_s(t: int, m: int) -> int:
     """Additional bidders for the t-item extension beyond the single-item m:
-    ceil(t + (1+eps)*t*ln(m) + ln(t)).
+    ceil(t + (1+eps)*t*ln(m) + ln(t)) with eps = EPSILON_SLACK.
 
     Includes the ln(t) safety term the binomial-tail argument needs; natural
     logs throughout (a larger s never weakens the guarantee).
@@ -253,9 +256,7 @@ def multi_item_s(t: int, m: int, epsilon_slack: float) -> int:
         raise ValueError("t must be at least 1")
     if m < 2:
         raise ValueError("m must be at least 2")
-    if not epsilon_slack > 0.0:
-        raise ValueError("epsilon_slack must be positive")
-    return math.ceil(t + (1.0 + epsilon_slack) * t * math.log(m) + math.log(t))
+    return math.ceil(t + (1.0 + EPSILON_SLACK) * t * math.log(m) + math.log(t))
 
 
 def multi_gain_exact(phi: float, r: float, m: int, s: int, t_res: int) -> float:
@@ -263,7 +264,7 @@ def multi_gain_exact(phi: float, r: float, m: int, s: int, t_res: int) -> float:
     residual items: r*(t_res - sum_{j<t_res} a_j*(t_res-j)) with binomial
     weights a_j = C(m+s, j) * phi^(m+s-j) * (1-phi)^j.
 
-    At least r*t_res*(1-phi^m) whenever s >= multi_item_s(t_res, m, eps).
+    At least r*t_res*(1-phi^m) whenever s >= multi_item_s(t_res, m).
     """
     if m < 1 or s < 1 or t_res < 1:
         raise ValueError("m, s and t_res must be at least 1")
@@ -295,11 +296,13 @@ def loss_p_unconditional(eps: float, r: float, k: int) -> float:
 
 
 class Counterexample(NamedTuple):
-    """A capped heavy-tail eps that beats m extra bidders, and its shortfall
-    `loss_p_unconditional(eps, r, k)`."""
+    """A capped heavy-tail eps that beats m extra bidders, its shortfall
+    `loss_p_unconditional(eps, r, k)` and the extra bidders' gain
+    `gain(r/(r+eps), r, m)`."""
 
     eps: float
     loss: float
+    gain: float
 
 
 def regular_counterexample_search(
@@ -311,8 +314,8 @@ def regular_counterexample_search(
     Gain(eps) = r*(1 - (r/(r+eps))^m) shrinks linearly in eps while the
     shortfall integral shrinks only like eps*ln(1/eps), so a small enough
     eps always exists for every (k, m). Scans eps geometrically (factor
-    1/2) from r down and returns the first success with its loss; once the
-    inequality holds it keeps holding as eps shrinks further.
+    1/2) from r down and returns the first success with its loss and gain;
+    once the inequality holds it keeps holding as eps shrinks further.
 
     `m` is an int, giving one Counterexample, or a sequence of ints, giving
     a tuple with one per m in order. Every m walks the same eps = r, r/2,
@@ -333,9 +336,9 @@ def regular_counterexample_search(
     def search(m):
         eps = r
         while eps > 1e-15:
-            loss_p = loss_at(eps)
-            if loss_p - gain(r / (r + eps), r, m) > margin:
-                return Counterexample(eps, loss_p)
+            loss_p, gain_p = loss_at(eps), gain(r / (r + eps), r, m)
+            if loss_p - gain_p > margin:
+                return Counterexample(eps, loss_p, gain_p)
             eps *= 0.5
         raise SearchExhausted(
             f"no eps above 1e-15 with Loss > Gain + {margin} for k={k}, m={m}, r={r}"

@@ -60,35 +60,23 @@ def _parse_int(value) -> int:
 
 
 def _parse_int_range(value, what):
-    """Accept an int, an 'a..b' range, a comma list, or a list of ints."""
-    if not isinstance(value, (str, list)):
-        return [_parse_int(value)]
-    if isinstance(value, list):
-        out = [_parse_int(v) for v in value]
-        if not out:
-            raise ConfigError(f"{what} range must be nonempty")
-        return out
-    if "," in value:
-        try:
-            out = [int(p) for p in value.split(",") if p.strip()]
-        except ValueError:
-            raise ConfigError(f"bad {what} list {value!r}") from None
-        if not out:
-            raise ConfigError(f"{what} list {value!r} is empty")
-        return out
-    if ".." in value:
-        lo_s, _, hi_s = value.partition("..")
-        try:
-            lo, hi = int(lo_s), int(hi_s)
-        except ValueError:
-            raise ConfigError(f"bad {what} range {value!r}") from None
-        if hi < lo:
-            raise ConfigError(f"{what} range {value!r} is empty")
-        return list(range(lo, hi + 1))
+    """Accept an int, an 'a..b' range, a comma list, or a list of ints; a
+    range or list without entries is refused."""
     try:
-        return [int(value)]
+        if isinstance(value, list):
+            out = [_parse_int(v) for v in value]
+        elif isinstance(value, str) and "," in value:
+            out = [_parse_int(p) for p in value.split(",") if p.strip()]
+        elif isinstance(value, str) and ".." in value:
+            lo, _, hi = value.partition("..")
+            out = list(range(_parse_int(lo), _parse_int(hi) + 1))
+        else:
+            out = [_parse_int(value)]
     except ValueError:
         raise ConfigError(f"bad {what} value {value!r}") from None
+    if not out:
+        raise ConfigError(f"{what} value {value!r} has no entries")
+    return out
 
 
 def parse_dist_arg(text: str) -> dict:
@@ -332,9 +320,8 @@ def _paired_runner(auto_bound, row_check):
 def _run_thm3(cfg, dist):
     r = reserve_price(dist)
     phi = cdf_left(dist, r)
-    eps_slack = 0.1
     ms = [_resolve_m(cfg, k, analysis.upper_bound_m) for k in cfg.k]
-    ss = [analysis.multi_item_s(cfg.t, m, eps_slack) for m in ms]
+    ss = [analysis.multi_item_s(cfg.t, m) for m in ms]
     gains = [analysis.multi_gain_exact(phi, r, m, s, cfg.t) for m, s in zip(ms, ss)]
     extras = list(map(operator.add, ms, ss))
     pcs = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
@@ -355,7 +342,7 @@ def _run_thm3(cfg, dist):
             ok and _not_below(pc.diff_mean, 0.0, pc.diff_std_err) for ok, pc in zip(analytic, pcs)
         ],
     }
-    return columns, {"epsilon_slack": eps_slack, "phi": phi, "r": r}
+    return columns, {"epsilon_slack": analysis.EPSILON_SLACK, "phi": phi, "r": r}
 
 
 def _run_regular_cx(cfg, dist):
@@ -366,9 +353,7 @@ def _run_regular_cx(cfg, dist):
     found = [
         cx for k in cfg.k for cx in analysis.regular_counterexample_search(k, ms, r, margin=margin_target)
     ]
-    col_m = ms * len(cfg.k)
-    gains = [analysis.gain(r / (r + cx.eps), r, m) for cx, m in zip(found, col_m)]
-    margins = [cx.loss - g for cx, g in zip(found, gains)]
+    margins = [cx.loss - cx.gain for cx in found]
     regular_ok, mhr_violated = [], []
     for cx in found:
         capped = PFamily(eps=cx.eps, r=r)
@@ -378,10 +363,10 @@ def _run_regular_cx(cfg, dist):
         mhr_violated.append(not mhr_check(capped, 256).is_mhr)
     columns = {
         "k": [k for k in cfg.k for _ in ms],
-        "m": col_m,
+        "m": ms * len(cfg.k),
         "eps_star": [cx.eps for cx in found],
         "loss": [cx.loss for cx in found],
-        "gain": gains,
+        "gain": [cx.gain for cx in found],
         "margin": margins,
         "regular_ok": regular_ok,
         "mhr_violated": mhr_violated,

@@ -351,8 +351,8 @@ def reserve_price(dist: ValueDistribution) -> float:
     start = float(dist.quantile(0.5))
     # Unbounded supports are truncated where 1-F underflows any tolerance.
     hi_cap = float(dist.quantile(1.0 - 1e-12))
-    lo, hi = bracket_root(excess, start, lo_limit=0.0, hi_limit=hi_cap)
-    return bisect(excess, lo, hi, width=1e-12)
+    lo, hi = bracket_root(excess, start, hi_cap)
+    return bisect(excess, lo, hi)
 
 
 def cdf_left(dist: ValueDistribution, x: float) -> float:

@@ -4,12 +4,12 @@ Adaptive Simpson is preferred over fixed-order rules because the integrands
 are piecewise smooth with known kink locations (hazard-regime switches,
 slab edges); callers pass those as breakpoints so each piece is smooth.
 Bisection is used for reserve prices because hazards may be nonsmooth and
-derivative-based solvers are unsafe there.
+derivative-based solvers are unsafe there; the root finder works on the
+reserve's domain only, [0, hi_limit] with a finite hi_limit.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable
 
 from .errors import NoRoot
@@ -17,6 +17,7 @@ from .errors import NoRoot
 _MAX_DEPTH = 60
 _MAX_EXPANSIONS = 200
 _MAX_BISECTIONS = 200
+_BISECT_WIDTH = 1e-12
 
 
 def _simpson(f, a, fa, b, fb):
@@ -64,57 +65,46 @@ def adaptive_simpson(
 def bracket_root(
     f: Callable[[float], float],
     start: float,
-    lo_limit: float = 0.0,
-    hi_limit: float = math.inf,
+    hi_limit: float,
 ) -> tuple[float, float]:
-    """Find [lo, hi] with f(lo) <= 0 <= f(hi) by geometric expansion from start.
+    """Find [lo, hi] in [0, hi_limit] with f(lo) <= 0 <= f(hi) by geometric
+    expansion from start, or from 1e-6 when start is outside (0, hi_limit].
 
-    Assumes f is (weakly) increasing where it matters, which holds for
-    x*h(x) - 1 under a monotone hazard. Raises NoRoot when the expansion
-    hits the support limits without a sign change.
+    hi_limit is finite: below start the expansion halves lo toward 0, above
+    it halves the gap to hi_limit. Assumes f is (weakly) increasing where
+    it matters, which holds for x*h(x) - 1 under a monotone hazard. Raises
+    NoRoot when the expansion finds no sign change.
     """
-    if not (lo_limit <= start <= hi_limit) or start <= 0:
-        start = max(lo_limit, 1e-6) if math.isfinite(hi_limit) else 1.0
+    if not 0.0 < start <= hi_limit:
+        start = 1e-6
     f0 = f(start)
     if f0 == 0.0:
         return start, start
     if f0 > 0.0:
-        hi = start
         lo = start
         for _ in range(_MAX_EXPANSIONS):
-            lo = max(lo_limit, lo / 2.0)
+            lo /= 2.0
             if f(lo) <= 0.0:
-                return lo, hi
-            if lo <= lo_limit:
-                break
+                return lo, start
         raise NoRoot("no sign change below the starting point")
-    lo = start
     hi = start
     for _ in range(_MAX_EXPANSIONS):
-        if math.isfinite(hi_limit):
-            nxt = 0.5 * (hi + hi_limit)
-            if hi_limit - nxt < 1e-15 * max(1.0, hi_limit):
-                break
-        else:
-            nxt = hi * 2.0
+        nxt = 0.5 * (hi + hi_limit)
+        if hi_limit - nxt < 1e-15 * max(1.0, hi_limit):
+            break
         hi = nxt
         if f(hi) >= 0.0:
-            return lo, hi
+            return start, hi
     raise NoRoot("x*h(x) stays below 1 over the whole support")
 
 
-def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    width: float = 1e-12,
-) -> float:
-    """Bisect a bracketing interval down to the requested width."""
+def bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Bisect a bracketing interval down to a width of 1e-12."""
     flo = f(lo)
     if flo == 0.0:
         return lo
     for _ in range(_MAX_BISECTIONS):
-        if hi - lo <= width:
+        if hi - lo <= _BISECT_WIDTH:
             break
         mid = 0.5 * (lo + hi)
         fm = f(mid)

@@ -110,9 +110,12 @@ def _resolve_threads():
     env = os.environ.get("MECH_EFF_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise ValueError(f"MECH_EFF_THREADS must be an integer, got {env!r}") from None
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"MECH_EFF_THREADS must be a positive integer, got {env!r}")
+        return threads
     if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
         return min(8, len(os.sched_getaffinity(0)))
     return min(8, os.cpu_count() or 1)
@@ -148,9 +151,9 @@ def _moment_scan(dist, t, rows, n_trials, seed):
     def columns(flat, trials, row):
         # a frame of its own: the selections and the unused statistics are
         # freed on return, before the columns are stacked
-        widths = tuple(sorted({w for w, _, _ in row}))
-        u = flat[: trials * widths[-1]].reshape(trials, widths[-1])
-        pairs = dict(zip(widths, _select(u, t, dist.quantile, widths)))
+        widths = {w for w, _, _ in row}
+        n = max(widths)
+        pairs = _select(flat[: trials * n].reshape(trials, n), t, dist.quantile, widths)
         rules = dict.fromkeys((w, r) for w, r, _ in row)  # distinct, in declared order
         priced = {(w, r): _second_price(*pairs[w], r) for w, r in rules}
         return [priced[w, r][stat] for w, r, stat in row]
@@ -204,7 +207,7 @@ def _select(u, t, quantile, widths):
     """Per prefix `u[:, :w]` of the uniforms, one pair: each row's min(t, w)
     highest values, highest first, and its (t+1)-th highest (0 if w <= t).
 
-    `widths` is ascending; repeats get the same pair. One pass over the
+    `widths` are distinct; the result maps each to its pair. One pass over the
     columns keeps each row's top t+1 uniforms in registers, highest first,
     by compare-exchange with `np.maximum` and `np.minimum` (Knuth, TAOCP
     vol. 3, 5.3.4), which select exactly the values a sort would.
@@ -215,7 +218,7 @@ def _select(u, t, quantile, widths):
     adds the winners column by column.
     """
     rows = len(u)
-    regs, pairs = [], []
+    regs, pairs = [], {}
     for j, x in enumerate(np.ascontiguousarray(u.T), 1):
         for i, reg in enumerate(regs):
             if i == t:  # the last register only keeps the larger
@@ -227,8 +230,8 @@ def _select(u, t, quantile, widths):
         if j in widths:
             desc = np.asarray(quantile(np.stack(regs)))
             runner_up = desc[t] if j > t else np.zeros(rows)
-            pairs += [(desc[:t].T, runner_up)] * widths.count(j)
-    return tuple(pairs)
+            pairs[j] = (desc[:t].T, runner_up)
+    return pairs
 
 
 def _second_price(top, runner_up, reserve):

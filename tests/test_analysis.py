@@ -429,24 +429,22 @@ def test_bounds_refuse_k_below_one(bad):
 
 
 def test_multi_item_s_examples():
-    assert multi_item_s(1, 8, 0.1) == 4
-    assert multi_item_s(2, 8, 0.1) == 8
+    assert multi_item_s(1, 8) == 4
+    assert multi_item_s(2, 8) == 8
 
 
 def test_multi_item_s_monotone():
     for t in range(1, 5):
         for m in range(2, 30):
-            assert multi_item_s(t + 1, m, 0.1) >= multi_item_s(t, m, 0.1)
-            assert multi_item_s(t, m + 1, 0.1) >= multi_item_s(t, m, 0.1)
+            assert multi_item_s(t + 1, m) >= multi_item_s(t, m)
+            assert multi_item_s(t, m + 1) >= multi_item_s(t, m)
 
 
 def test_multi_item_s_validation():
     with pytest.raises(ValueError):
-        multi_item_s(0, 8, 0.1)
+        multi_item_s(0, 8)
     with pytest.raises(ValueError):
-        multi_item_s(1, 1, 0.1)
-    with pytest.raises(ValueError):
-        multi_item_s(1, 8, 0.0)
+        multi_item_s(1, 1)
 
 
 # --- multi-item gain ---------------------------------------------------------------
@@ -466,7 +464,7 @@ def test_multi_gain_phi_zero():
 
 def test_multi_gain_meets_floor():
     m = upper_bound_m(8)
-    s = multi_item_s(2, m, 0.1)
+    s = multi_item_s(2, m)
     got = multi_gain_exact(ALPHA, 1.0, m, s, 2)
     assert got >= 2.0 * (1.0 - ALPHA**m)
 
@@ -475,7 +473,7 @@ def test_multi_gain_floor_over_sufficient_m_grid():
     # every sufficient-m value arising from k = 1..100, all small residual counts
     for m in sorted({upper_bound_m(k) for k in range(1, 101)}):
         for t_res in range(1, 6):
-            s = multi_item_s(t_res, m, 0.1)
+            s = multi_item_s(t_res, m)
             assert multi_gain_exact(ALPHA, 1.0, m, s, t_res) >= t_res * (1.0 - ALPHA**m), (m, t_res)
 
 
@@ -558,8 +556,9 @@ def test_counterexample_sweep_equals_per_m_calls():
     for k, r in ((1, 1.0), (3, 1.0), (2, 5.0)):
         found = regular_counterexample_search(k, ms, r, margin=1e-6 * r)
         assert found == tuple(regular_counterexample_search(k, m, r, margin=1e-6 * r) for m in ms)
-        for hit in found:
+        for hit, m in zip(found, ms):
             assert hit.loss == analysis.loss_p_unconditional(hit.eps, r, k)
+            assert hit.gain == analysis.gain(r / (r + hit.eps), r, m)
     assert regular_counterexample_search(2, range(1, 4)) == regular_counterexample_search(2, [1, 2, 3])
     assert regular_counterexample_search(2, np.int64(3)) == regular_counterexample_search(2, 3)
 

@@ -145,6 +145,13 @@ def test_seed_outside_64_bits_exits_2():
         assert main(["thm1", "--k", "2", "--n", "1000", "--seed", seed]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-4", "two"])
+def test_thread_cap_not_a_positive_integer_exits_2(monkeypatch, capsys, threads):
+    monkeypatch.setenv("MECH_EFF_THREADS", threads)
+    assert main(["bk", "--k", "1", "--n", "1000"]) == 2
+    assert "MECH_EFF_THREADS must be a positive integer" in capsys.readouterr().err
+
+
 def test_dotted_out_prefix_is_taken_literally(tmp_path, capsys):
     for prefix in ("run.v2", "r.1", "r.2"):
         assert main(["bounds", "--k", "1..3", "--out", str(tmp_path / prefix)]) == 0

@@ -25,6 +25,7 @@ from mecheff.distributions import (
 )
 from mecheff.errors import DomainError, NoRoot
 from mecheff.numerics import adaptive_simpson
+from test_benchmark_reference import load
 
 CONTINUOUS = [
     Exponential(rate=1.0),
@@ -62,6 +63,23 @@ class NoClosedFormExp(ValueDistribution):
         return -self.scale * np.log1p(-np.asarray(u, dtype=float))
 
 
+class AtomAtZero(ValueDistribution):
+    """A 60% atom at 0 plus 0.4 * Exp(1): the median is 0, so the root finder
+    cannot start there; the hazard of the continuous part is 1."""
+
+    atoms = ((0.0, 0.6),)
+
+    def cdf(self, x):
+        return 0.6 - 0.4 * np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0))
+
+    def pdf(self, x):
+        return 0.4 * np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0))
+
+    def quantile(self, u):
+        u = np.asarray(u, dtype=float)
+        return -np.log1p(-np.maximum(u - 0.6, 0.0) / 0.4)
+
+
 class SubUnitHazard(ValueDistribution):
     """Pareto-type tail with x*h(x) = x/(2(1+x)) <= 1/2: no reserve exists."""
 
@@ -93,6 +111,24 @@ def test_reserve_root_finder_path():
     assert r == pytest.approx(1.0, abs=1e-10)
     d = NoClosedFormExp()
     assert abs(r * float(d.hazard(r)) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        # the median lies above the root: the bracket grows downward
+        (lambda: load("workloads").Weibull(shape=2.0), 0.7071067811866818),
+        # F(r) > 1/2: the bracket grows upward, at three scales
+        (lambda: NoClosedFormExp(1e-3), 0.001000000000096392),
+        (lambda: NoClosedFormExp(1.0), 1.0000000000003069),
+        (lambda: NoClosedFormExp(1e3), 999.9999999999995),
+        # a median of 0 is no start: the bracket starts at 1e-6
+        (AtomAtZero, 1.000000000000148),
+    ],
+    ids=["weibull-down", "exp-1e-3-up", "exp-1-up", "exp-1e3-up", "atom-at-0-fallback"],
+)
+def test_reserve_root_finder_bits(make, expected):
+    assert reserve_price(make()) == expected
 
 
 def test_reserve_no_root():

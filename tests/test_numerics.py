@@ -42,13 +42,13 @@ def test_simpson_peaked_integrand():
 
 
 def test_bisect_sqrt2():
-    root = bisect(lambda x: x * x - 2.0, 0.0, 2.0, width=1e-13)
+    root = bisect(lambda x: x * x - 2.0, 0.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_bracket_then_bisect():
     f = lambda x: math.log(x) - 1.0  # root at e
-    lo, hi = bracket_root(f, start=0.5)
+    lo, hi = bracket_root(f, start=0.5, hi_limit=100.0)
     assert f(lo) <= 0.0 <= f(hi)
     assert bisect(f, lo, hi) == pytest.approx(math.e, abs=1e-10)
 

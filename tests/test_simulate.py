@@ -241,7 +241,7 @@ def tie_heavy_batch(draw):
 def test_batched_stats_match_per_bid_auctions(batch):
     values, t, reserve = batch
     # the bids are their own quantile
-    [(top, runner_up)] = _select(values, t, lambda v: v, (values.shape[1],))
+    [(top, runner_up)] = _select(values, t, lambda v: v, {values.shape[1]}).values()
     eff_e, rev_e = _second_price(top, runner_up, 0.0)
     eff_r, rev_r = _second_price(top, runner_up, reserve)
     for i, bids in enumerate(values.tolist()):
@@ -326,7 +326,7 @@ def test_uniform_space_selection_matches_sorted_values(case):
     # top t come highest first
     dist, u, t = case
     n = u.shape[1]
-    [(top, runner_up)] = _select(u, t, dist.quantile, (n,))
+    [(top, runner_up)] = _select(u, t, dist.quantile, {n}).values()
     values = np.sort(np.asarray(dist.quantile(u)), axis=1)
     assert np.array_equal(top, values[:, ::-1][:, :t])
     assert np.array_equal(runner_up, values[:, n - t - 1] if n > t else np.zeros(len(u)))
@@ -335,11 +335,10 @@ def test_uniform_space_selection_matches_sorted_values(case):
 @st.composite
 def prefix_widths(draw):
     """(dist, u, t, widths): a `uniforms_near_branches` case with t in 1..5
-    and ascending prefix widths, repeats allowed."""
+    and distinct prefix widths."""
     dist, u, _ = draw(uniforms_near_branches())
     width = st.integers(1, u.shape[1])
-    widths = draw(st.lists(width, min_size=1, max_size=6).map(sorted))
-    return dist, u, draw(st.integers(1, 5)), tuple(widths)
+    return dist, u, draw(st.integers(1, 5)), draw(st.sets(width, min_size=1, max_size=6))
 
 
 @given(prefix_widths())
@@ -348,9 +347,9 @@ def test_prefix_selection_equals_selecting_the_prefix(case):
     # one pass over the columns yields every prefix's selection, bit for bit
     dist, u, t, widths = case
     pairs = _select(u, t, dist.quantile, widths)
-    assert len(pairs) == len(widths)
-    for (top, runner_up), w in zip(pairs, widths):
-        [(alone_top, alone_runner_up)] = _select(u[:, :w], t, dist.quantile, (w,))
+    assert pairs.keys() == widths
+    for w, (top, runner_up) in pairs.items():
+        [(alone_top, alone_runner_up)] = _select(u[:, :w], t, dist.quantile, {w}).values()
         assert top.shape == alone_top.shape == (len(u), min(w, t))
         assert np.array_equal(top, alone_top)
         assert np.array_equal(runner_up, alone_runner_up)
@@ -392,7 +391,7 @@ def dispatch_digest():
             permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
             stats = []
             for cols in (u, permuted):
-                [(top, runner_up)] = _select(cols, t, dist.quantile, (n,))
+                [(top, runner_up)] = _select(cols, t, dist.quantile, {n}).values()
                 stats.append((*_second_price(top, runner_up, 0.0), *_second_price(top, runner_up, r)))
             assert all(np.array_equal(a, b) for a, b in zip(*stats)), (dist, n, t)
             h.update(b"".join(stat.tobytes() for stat in stats[0]))
