@@ -16,8 +16,9 @@ import sys
 from mecheff.cli import main as cli_main
 
 
-def run(outdir, seed, n_smoke, n_big):
-    jobs = [
+def jobs(outdir, seed, n_smoke, n_big):
+    """The `mech-eff` argv of each experiment in the battery, in run order."""
+    battery = [
         ["bounds", "--k", "1..100"],
         ["gainloss", "--dist", "exponential:1", "--k", "1..8"],
         ["thm1", "--dist", "exponential:1", "--k", "1,2,5,10", "--n", str(n_smoke)],
@@ -27,13 +28,15 @@ def run(outdir, seed, n_smoke, n_big):
         ["ratio", "--dist", "exponential:1", "--k", "1..10", "--n", str(n_smoke)],
         ["bk", "--dist", "uniform:1", "--k", "1..5", "--n", str(n_smoke)],
     ]
+    return [job + ["--seed", str(seed), "--out", f"{outdir}/{job[0]}"] for job in battery]
+
+
+def run(outdir, seed, n_smoke, n_big):
     failures = []
-    for job in jobs:
-        name = job[0]
-        args = job + ["--seed", str(seed), "--out", f"{outdir}/{name}"]
+    for args in jobs(outdir, seed, n_smoke, n_big):
         rc = cli_main(args)
         if rc != 0:
-            failures.append((name, rc))
+            failures.append((args[0], rc))
     return failures
 
 

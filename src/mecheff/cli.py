@@ -506,12 +506,10 @@ def _build_parser():
         prog="mech-eff",
         description="Reserve-price vs efficiency-maximizing auction experiments.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in _EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        for f in _OPTIONS:
-            p.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
+    parser.add_argument("experiment", choices=list(_EXPERIMENTS), help="the experiment to run")
+    parser.add_argument("--config", help="JSON config file; flags override its fields")
+    for f in _OPTIONS:
+        parser.add_argument(f.metadata["flag"], dest=f.name, help=f.metadata["help"])
     return parser
 
 
@@ -527,7 +525,7 @@ def _read_config(path, experiment) -> dict:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if raw.get("experiment", experiment) != experiment:
         raise ConfigError(
-            f"config experiment {raw['experiment']!r} conflicts with subcommand {experiment!r}"
+            f"config experiment {raw['experiment']!r} conflicts with experiment name {experiment!r}"
         )
     return raw
 

@@ -15,12 +15,14 @@ Both mechanisms read the same two order statistics of a value matrix: the
 t highest values and the (t+1)-th highest. Every `quantile` is
 nondecreasing (a `ValueDistribution` contract), so it maps the order
 statistics of the uniforms onto those of the values: `_select` keeps each
-row's top t+1 uniforms in registers through one compare-exchange pass over
-the columns, reads them at every width a row declares, and sends only
-those t+1 columns through `quantile`. `_second_price` turns that pair into
-per-trial efficiency and revenue under one rule, once per distinct
-`(width, reserve)` of a row. It adds the winners column by column, highest
-first, as the per-bid reference `auctions.ema`/`auctions.rma` do.
+row's top t+1 uniforms in registers, updated in place, through one
+compare-exchange pass over the columns, reads them at every width a row
+declares, and sends only those t+1 columns through `quantile`.
+`_second_price` turns that pair into per-trial efficiency and revenue under
+one rule, once per distinct `(width, reserve)` of a row. It adds the
+winners column by column, highest first, as the per-bid reference
+`auctions.ema`/`auctions.rma` do; at reserve 0 every value clears, so EMA
+columns skip the winner masks.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
@@ -216,15 +218,25 @@ def _select(u, t, quantile, widths):
     as rows, so each value column `_second_price` reads, and the
     runner-up, is a contiguous row of the mapped block; `_second_price`
     adds the winners column by column.
+
+    The pass allocates nothing per column. It walks a private transposed
+    copy of `u`, so `u` is never written. Each compare-exchange writes the larger value
+    into one spare row, which then trades places with the register it
+    replaces, and the smaller back into the incoming column's own row; a
+    new register is that row. Each width gets a fresh stack, since
+    `quantile` may return its input.
     """
     rows = len(u)
     regs, pairs = [], {}
-    for j, x in enumerate(np.ascontiguousarray(u.T), 1):
+    spare = np.empty(rows)
+    for j, x in enumerate(u.T.copy(), 1):
         for i, reg in enumerate(regs):
             if i == t:  # the last register only keeps the larger
-                regs[t] = np.maximum(reg, x)
+                np.maximum(reg, x, out=reg)
                 break
-            regs[i], x = np.maximum(reg, x), np.minimum(reg, x)
+            np.maximum(reg, x, out=spare)
+            np.minimum(reg, x, out=x)
+            regs[i], spare = spare, reg
         else:  # fewer than t+1 columns seen: x is the lowest so far
             regs.append(x)
         if j in widths:
@@ -241,9 +253,20 @@ def _second_price(top, runner_up, reserve):
     numpy's row sum would add 8 or more terms pairwise. Each column's winner
     mask multiplies its value: a `quantile` value is finite and at least
     +0.0, so `value * cleared` is `np.where(cleared, value, 0.0)` bit for
-    bit."""
+    bit.
+
+    At reserve 0 (EMA) that premise makes every winner clear, so the masks
+    are skipped: efficiency is the plain highest-first sum of the top
+    columns and revenue is the runner-up times their count, the same bits
+    as the masked form. A one-column result may be a view of the input."""
     columns = iter(top.T)
     value = next(columns)
+    if reserve == 0.0:
+        ncols = top.shape[1]
+        eff = value if ncols == 1 else value + next(columns)
+        for value in columns:
+            eff += value
+        return eff, runner_up if ncols == 1 else runner_up * float(ncols)
     cleared = value >= reserve
     eff = value * cleared
     won = cleared.astype(float)

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -294,6 +295,40 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+def test_every_experiment_name_parses(name):
+    parser = cli._build_parser()
+    args = parser.parse_args([name])
+    assert args.experiment == name
+    assert vars(args).keys() == {"experiment", "config", *(f.name for f in cli._OPTIONS)}
+    # options may come before the name
+    flags = ["--k", "3", "--seed", "9"]
+    assert parser.parse_args([*flags, name]) == parser.parse_args([name, *flags])
+
+
+def test_help_lists_every_experiment_and_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: mech-eff")
+    for word in [*cli._EXPERIMENTS, "--config", *(f.metadata["flag"] for f in cli._OPTIONS)]:
+        assert word in text
+
+
+def test_battery_jobs_parse(tmp_path):
+    # every argv of scripts/run_experiments.py builds its config without running
+    path = Path(__file__).parents[1] / "scripts" / "run_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    jobs = script.jobs(tmp_path, 7, 1000, 2000)
+    assert sorted(job[0] for job in jobs) == sorted(set(cli._EXPERIMENTS) - {"reserve"})
+    for argv in jobs:
+        cfg = cli.build_config(cli._build_parser().parse_args(argv))
+        assert (cfg.experiment, cfg.seed, cfg.output_path) == (argv[0], 7, f"{tmp_path}/{argv[0]}")
 
 
 def test_failing_inequality_exits_1(tmp_path):

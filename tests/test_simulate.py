@@ -266,24 +266,30 @@ def second_price_where(top, runner_up, reserve):
 
 @st.composite
 def priced_block(draw):
-    """(top, runner_up, reserve): rows of t+1 descending values, t in 1..12,
-    laid out as `_select` returns them, with zeros and values equal to the
-    reserve among them."""
+    """(top, runner_up, reserve): the pair `_select` returns at a prefix
+    width w in 1..t+2, t in 1..12, laid out as it returns them: rows of
+    min(w, t) descending values and the (t+1)-th, 0 when w <= t. Zeros,
+    ties and values equal to the reserve are common."""
     t, rows = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    n = min(draw(st.integers(1, t + 2)), t + 1)
     reserve = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0))
-    entry = st.sampled_from([0.0, reserve]) | st.floats(0.0, 10.0)
-    values = np.array(draw(st.lists(entry, min_size=rows * (t + 1), max_size=rows * (t + 1))))
-    desc = np.ascontiguousarray(np.sort(values.reshape(rows, t + 1), axis=1)[:, ::-1].T)
-    return desc[:t].T, desc[t], reserve
+    entry = st.sampled_from([0.0, 0.5, 1.0, reserve]) | st.floats(0.0, 10.0)
+    values = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
+    desc = np.ascontiguousarray(np.sort(values.reshape(rows, n), axis=1)[:, ::-1].T)
+    return desc[:t].T, desc[t] if n > t else np.zeros(rows), reserve
 
 
 @given(priced_block())
 @settings(max_examples=300, deadline=None)
 def test_second_price_mask_multiply_matches_where(block):
     # a value times its winner mask is np.where(mask, value, 0.0), bit for
-    # bit, for the finite values >= +0.0 every quantile returns
-    for ours, ref in zip(_second_price(*block), second_price_where(*block)):
-        assert ours.tobytes() == ref.tobytes()
+    # bit, for the finite values >= +0.0 every quantile returns; at reserve
+    # 0 (EMA) every value clears and the masks are skipped
+    top, runner_up, reserve = block
+    for r in (reserve, 0.0):
+        for ours, ref in zip(_second_price(top, runner_up, r), second_price_where(top, runner_up, r)):
+            assert ours.tobytes() == ref.tobytes()
+            assert not np.signbit(ours).any()  # no -0.0
 
 
 @pytest.mark.parametrize("c", range(2, 9))
@@ -353,6 +359,39 @@ def test_prefix_selection_equals_selecting_the_prefix(case):
         assert top.shape == alone_top.shape == (len(u), min(w, t))
         assert np.array_equal(top, alone_top)
         assert np.array_equal(runner_up, alone_runner_up)
+
+
+@st.composite
+def selection_case(draw):
+    """(u, t, widths): uniforms that are free draws or the ulps around the
+    G family's branch point F(r-) = 1-1/e, in C or Fortran order, with t in
+    1..6 and distinct prefix widths."""
+    near = branch_ulps(GFamily(phi=ALPHA, r=1.0)).tolist()
+    n, t, rows = draw(st.integers(1, 24)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(near)
+    u = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+    if draw(st.booleans()):
+        u = np.asfortranarray(u)  # u.T is contiguous: a pass over it in place would write u
+    return u, t, draw(st.sets(st.integers(1, n), min_size=1, max_size=6))
+
+
+@pytest.mark.parametrize("quantile", [lambda v: v, Exponential(1.0).quantile], ids=["identity", "exp"])
+@given(case=selection_case())
+@settings(max_examples=200, deadline=None)
+def test_in_place_registers_select_like_a_sort(quantile, case):
+    # the registers are updated in place, yet every width's pair is a sort's,
+    # bit for bit, u is left as it was, and no two widths share memory
+    u, t, widths = case
+    before = u.copy()
+    pairs = _select(u, t, quantile, widths)
+    assert u.tobytes() == before.tobytes()
+    for w, (top, runner_up) in pairs.items():
+        desc = np.sort(np.asarray(quantile(u[:, :w])), axis=1)[:, ::-1]
+        assert top.tobytes() == desc[:, :t].tobytes()
+        assert runner_up.tobytes() == (desc[:, t] if w > t else np.zeros(len(u))).tobytes()
+        for a in (top, runner_up):
+            assert not np.shares_memory(a, u)
+            assert not any(np.shares_memory(a, b) for v, pair in pairs.items() if v != w for b in pair)
 
 
 @pytest.mark.parametrize("rows", [BATCH_TRIALS, 1000])  # a full batch and a short last one
