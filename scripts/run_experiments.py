@@ -3,15 +3,19 @@
 
 Smoke scale by default (1e6 trials); pass --full for the 1e7-trial runs the
 strict-loss experiment wants. Each experiment lands in <outdir>/<name>.csv
-and <outdir>/<name>.json; the script exits nonzero if any experiment's
-asserted inequalities fail.
+and <outdir>/<name>.json; the script prints one `<sha256>  <name>.<ext>`
+line per report, as `sha256sum` would from inside <outdir>, and exits
+nonzero if any experiment's asserted inequalities fail. Two runs wrote the
+same bytes when those lines match, e.g. under MECH_EFF_THREADS=1 and =2.
 
 Usage:
     python scripts/run_experiments.py --outdir results [--full] [--seed N]
 """
 
 import argparse
+import hashlib
 import sys
+from pathlib import Path
 
 from mecheff.cli import main as cli_main
 
@@ -37,6 +41,11 @@ def run(outdir, seed, n_smoke, n_big):
         rc = cli_main(args)
         if rc != 0:
             failures.append((args[0], rc))
+        if rc == 2:  # a refused config writes no report
+            continue
+        prefix = args[args.index("--out") + 1]
+        for report in (Path(prefix + ".csv"), Path(prefix + ".json")):
+            print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  {report.name}")
     return failures
 
 

@@ -125,8 +125,14 @@ class Exponential(ValueDistribution):
         return _demote(np.full(x.shape, self.rate), scalar)
 
     def quantile(self, u):
+        # -log1p(-u) / rate, one operation at a time in one buffer: the same
+        # bits without the three temporaries
         u, scalar = _promote(u)
-        return _demote(-np.log1p(-u) / self.rate, scalar)
+        out = np.negative(u)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+        out /= self.rate
+        return _demote(out, scalar)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -318,17 +319,35 @@ def test_help_lists_every_experiment_and_flag(capsys):
         assert word in text
 
 
-def test_battery_jobs_parse(tmp_path):
-    # every argv of scripts/run_experiments.py builds its config without running
+def battery_script():
+    """scripts/run_experiments.py, imported by path."""
     path = Path(__file__).parents[1] / "scripts" / "run_experiments.py"
     spec = importlib.util.spec_from_file_location("run_experiments", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    jobs = script.jobs(tmp_path, 7, 1000, 2000)
+    return script
+
+
+def test_battery_jobs_parse(tmp_path):
+    # every argv of scripts/run_experiments.py builds its config without running
+    jobs = battery_script().jobs(tmp_path, 7, 1000, 2000)
     assert sorted(job[0] for job in jobs) == sorted(set(cli._EXPERIMENTS) - {"reserve"})
     for argv in jobs:
         cfg = cli.build_config(cli._build_parser().parse_args(argv))
         assert (cfg.experiment, cfg.seed, cfg.output_path) == (argv[0], 7, f"{tmp_path}/{argv[0]}")
+
+
+def test_battery_prints_each_reports_sha256(tmp_path, capsys):
+    # one `sha256sum`-style line per report written, in run order, so two
+    # runs wrote the same bytes exactly when those lines match
+    script = battery_script()
+    failures = script.run(tmp_path, 7, 2000, 2000)
+    lines = [line.split("  ") for line in capsys.readouterr().out.splitlines() if "->" not in line]
+    names = [job[0] for job in script.jobs(tmp_path, 7, 2000, 2000)]
+    assert [name for _, name in lines] == [f"{n}.{ext}" for n in names for ext in ("csv", "json")]
+    for digest, name in lines:
+        assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert all(rc == 1 for _, rc in failures)  # too few trials may fail a check, never a config
 
 
 def test_failing_inequality_exits_1(tmp_path):

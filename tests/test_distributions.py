@@ -357,6 +357,25 @@ def test_quantile_does_not_depend_on_layout(dist, t):
         assert np.asarray(dist.quantile(registers)).T.tobytes() == rows_first.tobytes()
 
 
+@pytest.mark.parametrize("rate", [1e-9, 1.0, 1e9])
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_exponential_quantile_in_one_buffer_matches_expression(rate, t):
+    # the in-place steps are -log1p(-u) / rate's operations in its order, so
+    # the bits match the expression on a scalar, a 1-D array and register
+    # blocks in C, Fortran and step-2 layouts, and no value is -0.0
+    dist = Exponential(rate)
+    u = quantile_points(dist, np.random.default_rng(t), 4096 * (t + 1))
+    for v in u[:5]:  # u = 0, 1e-300, the largest double below 1, then draws
+        assert np.float64(dist.quantile(float(v))).tobytes() == (-np.log1p(-v[None]) / rate).tobytes()
+    rows = u.reshape(t + 1, 4096)
+    strided = np.empty((t + 1, 2 * 4096))
+    strided[:, ::2] = rows
+    for block in (u, rows, np.asfortranarray(rows), strided[:, ::2]):
+        x = dist.quantile(block)
+        assert x.tobytes() == (-np.log1p(-block) / rate).tobytes(), block.flags
+        assert not np.any(np.signbit(x))
+
+
 def g_quantile_masked(dist, u):
     """`GFamily.quantile` on an array, each branch evaluated only where its
     mask holds."""

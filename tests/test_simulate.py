@@ -292,6 +292,18 @@ def test_second_price_mask_multiply_matches_where(block):
             assert not np.signbit(ours).any()  # no -0.0
 
 
+@given(priced_block())
+@settings(max_examples=300, deadline=None)
+def test_second_price_without_runner_up_is_the_full_rules_efficiency(block):
+    # a row that reads no revenue passes no runner-up; its efficiency is
+    # the full rule's, bit for bit, with and without a reserve
+    top, runner_up, reserve = block
+    for r in (0.0, 1.0, reserve):
+        eff, rev = _second_price(top, None, r)
+        assert rev is None
+        assert eff.tobytes() == _second_price(top, runner_up, r)[0].tobytes()
+
+
 @pytest.mark.parametrize("c", range(2, 9))
 def test_column_sums_einsum_equal_sum(c):
     # `_moment_scan` sums each batch's columns with einsum; from two columns
@@ -392,6 +404,64 @@ def test_in_place_registers_select_like_a_sort(quantile, case):
         for a in (top, runner_up):
             assert not np.shares_memory(a, u)
             assert not any(np.shares_memory(a, b) for v, pair in pairs.items() if v != w for b in pair)
+
+
+@pytest.mark.parametrize("quantile", [lambda v: v, Exponential(1.0).quantile], ids=["identity", "exp"])
+@given(case=selection_case())
+@settings(max_examples=200, deadline=None)
+def test_selection_without_runner_up_is_the_top_of_the_full_one(quantile, case):
+    # t registers hold the same top t as t+1 registers, bit for bit, at
+    # every width, those at or below t included; u is left as it was, and
+    # no two widths share memory
+    u, t, widths = case
+    before = u.copy()
+    pairs = _select(u, t, quantile, widths, runner_up=False)
+    assert u.tobytes() == before.tobytes()
+    full = _select(u, t, quantile, widths)
+    assert pairs.keys() == full.keys() == widths
+    for w, (top, runner_up) in pairs.items():
+        assert runner_up is None
+        assert top.shape == full[w][0].shape == (len(u), min(w, t))
+        assert top.tobytes() == full[w][0].tobytes()
+        assert not np.shares_memory(top, u)
+        assert not any(np.shares_memory(top, pairs[v][0]) for v in widths if v != w)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Exponential(1.0), GFamily(phi=ALPHA, r=1.0), PFamily(eps=0.5, r=1.0)],
+    ids=lambda dist: type(dist).__name__,
+)
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_efficiency_rows_equal_rows_that_read_revenue(dist, t):
+    # paired_compare's rows read no revenue, so they select t registers; a
+    # revenue column appended after them forces t+1, and the two columns
+    # they share keep every bit, their sums and cross moments included.
+    # Two batches, the second short, with widths below, at and above t
+    n, pairs = BATCH_TRIALS + 123, [(3, 1), (4, 5), (1, 0)]
+    r = reserve_price(dist)
+    rows = [((k, 0.0, 0), (k + extra, r, 0), (k, 0.0, 1)) for k, extra in pairs]
+    read_revenue = simulate._moment_scan(dist, t, rows, n, seed=23)
+    expected = tuple(simulate._paired(s1, s2, n, a=1) for s1, s2 in read_revenue)
+    assert paired_compare(dist, pairs, t, n, seed=23) == expected
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_quantile_maps_the_runner_up_only_for_revenue_rows(t):
+    # an efficiency-only row maps its t highest values, a row that reads
+    # revenue maps the (t+1)-th too
+    mapped = []
+
+    class Recorded(Exponential):
+        def quantile(self, u):
+            mapped.append(np.shape(u))
+            return super().quantile(u)
+
+    paired_compare(Recorded(1.0), [(4, 3), (1, 0)], t, 100, seed=5)
+    assert sorted(mapped) == sorted([(min(w, t), 100) for w in (4, 7, 1)])
+    mapped.clear()
+    estimate_mechanism(Recorded(1.0), 7, t, "rma", 100, seed=5)
+    assert mapped == [(min(7, t + 1), 100)]
 
 
 @pytest.mark.parametrize("rows", [BATCH_TRIALS, 1000])  # a full batch and a short last one
