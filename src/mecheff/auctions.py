@@ -35,24 +35,17 @@ class AuctionOutcome:
         return frozenset(self.winners)
 
 
-def _validate_bids(bids: Sequence[float]) -> list[float]:
-    out = [float(b) for b in bids]
-    if not out:
-        raise ValueError("bid vector must be nonempty")
-    for b in out:
-        if not math.isfinite(b) or b < 0.0:
-            raise ValueError(f"bids must be finite and nonnegative, got {b}")
-    return out
-
-
-def _ranked(bids: list[float]) -> list[int]:
-    # descending by bid, ascending by index on ties
-    return sorted(range(len(bids)), key=lambda i: (-bids[i], i))
-
-
 def _second_price(bids: Sequence[float], t: int, reserve: float) -> AuctionOutcome:
-    b = _validate_bids(bids)
-    order = _ranked(b)
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    b = [float(x) for x in bids]
+    if not b:
+        raise ValueError("bid vector must be nonempty")
+    for x in b:
+        if not math.isfinite(x) or x < 0.0:
+            raise ValueError(f"bids must be finite and nonnegative, got {x}")
+    # highest first; the sort is stable under reverse=True, so ties keep the lower index first
+    order = sorted(range(len(b)), key=b.__getitem__, reverse=True)
     # the bids at or above the reserve form a prefix of the ranking
     winners = tuple(i for i in order[:t] if b[i] >= reserve)
     price = max(reserve, b[order[t]] if len(b) > t else 0.0)
@@ -70,8 +63,6 @@ def ema(bids: Sequence[float], t: int = 1) -> AuctionOutcome:
     With t or fewer bidders everyone wins and pays 0 (no (t+1)-th bid
     exists).
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
     return _second_price(bids, t, 0.0)
 
 
@@ -82,8 +73,6 @@ def rma(bids: Sequence[float], t: int = 1, reserve: float = 1.0) -> AuctionOutco
     bids exist the missing bid counts as 0 and the reserve floors the
     price. No eligible bids means no sale.
     """
-    if t < 1:
-        raise ValueError("t must be at least 1")
     if not (reserve > 0.0 and math.isfinite(reserve)):
         raise ValueError(f"reserve must be positive and finite, got {reserve}")
     return _second_price(bids, t, reserve)

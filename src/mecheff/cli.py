@@ -120,9 +120,13 @@ def _parse_distribution(value) -> dict:
 
 
 def _parse_m(value):
-    """'auto', a range or a list stays as given (regular_cx parses it); else an int."""
+    """'auto', a range or a list stays as given (regular_cx expands it) once
+    its entries are checked; else an int."""
     text = str(value)
-    if isinstance(value, list) or text == "auto" or ".." in text or "," in text:
+    if text == "auto":
+        return value
+    if isinstance(value, list) or ".." in text or "," in text:
+        _parse_int_range(value, "m")
         return value
     return _parse_int(value)
 

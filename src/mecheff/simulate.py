@@ -11,20 +11,18 @@ RMA(k+extra) sees the first k of the same k+extra values, and the
 difference estimator inherits the positive correlation of these common
 random numbers.
 
-Both mechanisms read at most two order statistics of a value matrix: the
-t highest values, and the (t+1)-th highest, which only sets the price.
-Every `quantile` is nondecreasing (a `ValueDistribution` contract), so it
-maps the order statistics of the uniforms onto those of the values:
-`_select` keeps each row's top uniforms in registers, updated in place,
-through one compare-exchange pass over the columns, reads them at every
-width a row declares, and sends only those columns through `quantile`. A
-row keeps and maps the (t+1)-th value only when one of its columns reads
-revenue; an efficiency-only row keeps t registers. `_second_price` turns
-the selection into per-trial efficiency, and revenue when there is a
-runner-up, under one rule, once per distinct `(width, reserve)` of a row.
-It adds the winners column by column, highest first, as the per-bid
-reference `auctions.ema`/`auctions.rma` do; at reserve 0 every value
-clears, so EMA columns skip the winner masks.
+Both mechanisms read one value stack per width: the t highest values,
+highest first, then the (t+1)-th, which only sets the price and is kept
+only when one of a row's columns reads revenue. Every `quantile` is
+nondecreasing (a `ValueDistribution` contract), so it maps the order
+statistics of the uniforms onto those of the values: `_select` keeps each
+row's top uniforms in registers, updated in place, through one
+compare-exchange pass over the columns, and maps them through `quantile`
+into a stack at every width the row declares. `_second_price` turns a
+stack into per-trial efficiency, and revenue when asked, under one rule,
+once per distinct `(width, reserve)` of a row. It adds the winners
+highest first, as the per-bid reference `auctions.ema`/`auctions.rma` do;
+at reserve 0 every value clears, so EMA columns skip the winner masks.
 
 Reproducibility contract: trials are partitioned into fixed batches of
 16384; batch b draws its uniforms from a Philox counter-based stream at
@@ -138,11 +136,12 @@ def _moment_scan(dist, t, rows, n_trials, seed):
     trial's draw, `stat` 0 for efficiency and 1 for revenue. Each batch
     draws its uniforms once, at the widest width of any row; each row
     selects once, at its distinct widths, and prices each distinct
-    `(width, reserve)` once. A row selects and maps the (t+1)-th value,
-    which only sets the price, when one of its columns reads revenue.
-    Returns one (sum vector, cross-product matrix) per row, in order, with
-    the columns in their declared order. A row needs two or more columns:
-    the column sums match `sum(axis=0)` bit for bit only there.
+    `(width, reserve)` once. A row's stacks have depth t+1, and so hold
+    the (t+1)-th value that sets the price, when one of its columns reads
+    revenue, and depth t otherwise. Returns one (sum vector, cross-product
+    matrix) per row, in order, with the columns in their declared order. A
+    row needs two or more columns: the column sums match `sum(axis=0)` bit
+    for bit only there.
     """
     if any(len(row) < 2 for row in rows):
         raise ValueError("every row needs at least two columns")
@@ -159,9 +158,9 @@ def _moment_scan(dist, t, rows, n_trials, seed):
         widths = {w for w, _, _ in row}
         n = max(widths)
         revenue = any(stat for _, _, stat in row)
-        pairs = _select(flat[: trials * n].reshape(trials, n), t, dist.quantile, widths, revenue)
+        stacks = _select(flat[: trials * n].reshape(trials, n), t + revenue, dist.quantile, widths)
         rules = dict.fromkeys((w, r) for w, r, _ in row)  # distinct, in declared order
-        priced = {(w, r): _second_price(*pairs[w], r) for w, r in rules}
+        priced = {(w, r): _second_price(stacks[w], t, r, revenue) for w, r in rules}
         return [priced[w, r][stat] for w, r, stat in row]
 
     def one(b):
@@ -209,37 +208,31 @@ def _paired(s1, s2, n, a) -> PairedEstimate:
     )
 
 
-def _select(u, t, quantile, widths, runner_up=True):
-    """Per prefix `u[:, :w]` of the uniforms, one pair: each row's min(t, w)
-    highest values, highest first, and its (t+1)-th highest (0 if w <= t),
-    or None in its place when `runner_up` is false.
+def _select(u, depth, quantile, widths):
+    """Per prefix `u[:, :w]` of the uniforms, its value stack: each row's
+    min(depth, w) highest values, highest first, stacked as rows, so value
+    i of every trial is the contiguous row `values[i]`.
 
-    `widths` are distinct; the result maps each to its pair. One pass over the
-    columns keeps each row's top t+1 uniforms, or top t without the
-    runner-up, in registers, highest first, by compare-exchange with
-    `np.maximum` and `np.minimum` (Knuth, TAOCP vol. 3, 5.3.4), which select
-    exactly the values a sort would: d registers take 2d-1 calls per column,
-    and the top t registers hold the same bits at either depth. `quantile`
-    is nondecreasing, so it maps the registers onto the values' top t+1 (or
-    t), and only those columns are mapped. The registers are stacked as
-    rows, so each value column `_second_price` reads, and the runner-up, is
-    a contiguous row of the mapped block; `_second_price` adds the winners
-    column by column.
+    `widths` are distinct; the result maps each to its stack. One pass over
+    the columns keeps each row's top `depth` uniforms in registers, highest
+    first, by compare-exchange with `np.maximum` and `np.minimum` (Knuth,
+    TAOCP vol. 3, 5.3.4), which select exactly the values a sort would: d
+    registers take 2d-1 calls per column, and the top registers hold the
+    same bits at any depth. `quantile` is nondecreasing, so it maps the
+    registers onto the values' top `depth`, and only those rows are mapped.
 
     The pass allocates nothing per column. It walks a private transposed
-    copy of `u`, so `u` is never written. Each compare-exchange writes the larger value
-    into one spare row, which then trades places with the register it
-    replaces, and the smaller back into the incoming column's own row; a
-    new register is that row. Each width gets a fresh stack, since
-    `quantile` may return its input.
+    copy of `u`, so `u` is never written. Each compare-exchange writes the
+    larger value into one spare row, which then trades places with the
+    register it replaces, and the smaller back into the incoming column's
+    own row; a new register is that row. Each width gets a fresh stack,
+    since `quantile` may return its input.
     """
-    rows = len(u)
-    last = t if runner_up else t - 1
-    regs, pairs = [], {}
-    spare = np.empty(rows)
+    regs, stacks = [], {}
+    spare = np.empty(len(u))
     for j, x in enumerate(u.T.copy(), 1):
         for i, reg in enumerate(regs):
-            if i == last:  # the last register only keeps the larger
+            if i == depth - 1:  # the last register only keeps the larger
                 np.maximum(reg, x, out=reg)
                 break
             np.maximum(reg, x, out=spare)
@@ -248,50 +241,47 @@ def _select(u, t, quantile, widths, runner_up=True):
         else:  # fewer columns seen than registers: x is the lowest so far
             regs.append(x)
         if j in widths:
-            desc = np.asarray(quantile(np.stack(regs)))
-            if runner_up:
-                pairs[j] = (desc[:t].T, desc[t] if j > t else np.zeros(rows))
-            else:
-                pairs[j] = (desc.T, None)
-    return pairs
+            stacks[j] = np.asarray(quantile(np.stack(regs)))
+    return stacks
 
 
-def _second_price(top, runner_up, reserve):
-    """Per-trial efficiency and revenue when the top bidders at or above the
-    reserve (0 for EMA) win and pay max(reserve, runner-up). The winners are
-    added column by column, highest first, in `auctions`' order for every t;
-    numpy's row sum would add 8 or more terms pairwise. Each column's winner
-    mask multiplies its value: a `quantile` value is finite and at least
-    +0.0, so `value * cleared` is `np.where(cleared, value, 0.0)` bit for
-    bit.
+def _second_price(values, t, reserve, revenue):
+    """Per-trial efficiency, and revenue if `revenue`, when the top t bidders
+    of a value stack at or above the reserve (0 for EMA) win and pay
+    max(reserve, runner-up). The winners are `values[:t]`; the runner-up is
+    `values[t]`, or 0 when the stack has t rows or fewer, and is read only
+    for revenue, which is None otherwise.
 
-    At reserve 0 (EMA) that premise makes every winner clear, so the masks
-    are skipped: efficiency is the plain highest-first sum of the top
-    columns and revenue is the runner-up times their count, the same bits
-    as the masked form. A `runner_up` of None means no column reads
-    revenue: only the efficiency is computed, and the revenue is None. A
-    one-column result may be a view of the input."""
-    columns = iter(top.T)
-    value = next(columns)
+    The winners are added row by row, highest first, in `auctions`' order
+    for every t; numpy's sum over the rows would add 8 or more terms
+    pairwise. Each winner's mask multiplies its value: a `quantile` value
+    is finite and at least +0.0, so `value * cleared` is
+    `np.where(cleared, value, 0.0)` bit for bit. At reserve 0 (EMA) that
+    premise makes every winner clear, so the masks are skipped: efficiency
+    is the plain highest-first sum and revenue the runner-up times the
+    winner count, the same bits as the masked form. A one-row result may be
+    a view of the input."""
+    winners = iter(values[:t])
+    value = next(winners)
     if reserve == 0.0:
-        ncols = top.shape[1]
-        eff = value if ncols == 1 else value + next(columns)
-        for value in columns:
+        won = min(t, len(values))
+        eff = value if won == 1 else value + next(winners)
+        for value in winners:
             eff += value
-        if runner_up is None:
-            return eff, None
-        return eff, runner_up if ncols == 1 else runner_up * float(ncols)
-    cleared = value >= reserve
-    eff = value * cleared
-    if runner_up is None:
-        for value in columns:
-            eff += value * (value >= reserve)
-        return eff, None
-    won = cleared.astype(float)
-    for value in columns:
+    else:
         cleared = value >= reserve
-        eff += value * cleared
-        won += cleared
+        eff = value * cleared
+        won = cleared.astype(float) if revenue else None
+        for value in winners:
+            cleared = value >= reserve
+            eff += value * cleared
+            if revenue:
+                won += cleared
+    if not revenue:
+        return eff, None
+    runner_up = values[t] if len(values) > t else np.zeros(values.shape[1])
+    if reserve == 0.0:
+        return eff, runner_up if won == 1 else runner_up * float(won)
     return eff, won * np.maximum(reserve, runner_up)
 
 

@@ -127,3 +127,23 @@ def test_vanishing_reserve_matches_ema(bids):
     assert out_r.winners == out_e.winners
     assert out_r.efficiency == out_e.efficiency
     assert out_r.revenue == pytest.approx(out_e.revenue)
+
+
+@given(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=9),
+    t_st,
+    st.sampled_from([None, 0.5, 1.0, 2.0]),
+)
+@settings(max_examples=300)
+def test_winners_follow_bid_then_index_under_ties(bids, t, reserve):
+    # bidder i ranks behind every higher bid and every equal bid of a lower
+    # index; -0.0 ties with 0.0, and bids at the reserve clear it
+    rank = {
+        i: sum(b > bid or (b == bid and j < i) for j, b in enumerate(bids))
+        for i, bid in enumerate(bids)
+    }
+    floor = 0.0 if reserve is None else reserve
+    expected = tuple(i for i in sorted(rank, key=rank.get) if rank[i] < t and bids[i] >= floor)
+    out = ema(bids, t) if reserve is None else rma(bids, t, reserve)
+    assert out.winners == expected
+    assert set(out.payments) == set(expected)

@@ -257,6 +257,19 @@ def test_config_integral_floats_are_ints(tmp_path):
     assert all(type(v) is int for v in (cfg.t, *cfg.k, cfg.m, cfg.n_trials, cfg.seed))
 
 
+@pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
+def test_every_experiment_refuses_bad_m_entries(tmp_path, name):
+    # a range, comma list or list of m is checked entry by entry at config time
+    path = tmp_path / "cfg.json"
+    for bad in ("1..x", "x,y", ["x"], [1.5]):
+        path.write_text(json.dumps({"m": bad}))
+        argv = [name, "--k", "1", "--n", "1000", "--config", str(path), "--out", str(tmp_path / "r")]
+        assert main(argv) == 2, bad
+        if isinstance(bad, str):
+            assert main([*argv, "--m", bad]) == 2, bad
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_run_time_config_error_exits_2():
     # the m range of regular_cx is parsed when the experiment runs
     assert main(["regular_cx", "--k", "1", "--m", "5..1"]) == 2
@@ -361,11 +374,15 @@ def test_failing_inequality_exits_1(tmp_path):
 
 
 def test_csv_byte_identical_across_thread_caps(tmp_path):
-    args = ["thm1", "--dist", "exponential:1", "--k", "1..3", "--n", "60000", "--seed", "99"]
-    r1 = run_cli(args + ["--out", str(tmp_path / "a")], {"MECH_EFF_THREADS": "1"})
-    r2 = run_cli(args + ["--out", str(tmp_path / "b")], {"MECH_EFF_THREADS": "6"})
-    assert r1.returncode == 0 and r2.returncode == 0, (r1.stderr, r2.stderr)
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    # t = 5 selects five values deep at width 50
+    for args in (
+        ["thm1", "--dist", "exponential:1", "--k", "1..3", "--n", "60000", "--seed", "99"],
+        ["thm3", "--dist", "exponential:1", "--k", "20", "--t", "5", "--n", "40000", "--seed", "99"],
+    ):
+        r1 = run_cli(args + ["--out", str(tmp_path / "a")], {"MECH_EFF_THREADS": "1"})
+        r2 = run_cli(args + ["--out", str(tmp_path / "b")], {"MECH_EFF_THREADS": "6"})
+        assert r1.returncode == 0 and r2.returncode == 0, (r1.stderr, r2.stderr)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes(), args[0]
 
 
 def test_csv_byte_identical_on_rerun(tmp_path):

@@ -241,18 +241,18 @@ def tie_heavy_batch(draw):
 def test_batched_stats_match_per_bid_auctions(batch):
     values, t, reserve = batch
     # the bids are their own quantile
-    [(top, runner_up)] = _select(values, t, lambda v: v, {values.shape[1]}).values()
-    eff_e, rev_e = _second_price(top, runner_up, 0.0)
-    eff_r, rev_r = _second_price(top, runner_up, reserve)
+    [stack] = _select(values, t + 1, lambda v: v, {values.shape[1]}).values()
+    eff_e, rev_e = _second_price(stack, t, 0.0, True)
+    eff_r, rev_r = _second_price(stack, t, reserve, True)
     for i, bids in enumerate(values.tolist()):
         e, r = auctions.ema(bids, t), auctions.rma(bids, t, reserve)
         assert eff_e[i] == e.efficiency and rev_e[i] == e.revenue
         assert eff_r[i] == r.efficiency and rev_r[i] == r.revenue
 
 
-def second_price_where(top, runner_up, reserve):
+def second_price_where(values, t, reserve):
     """`_second_price` with each winner added through np.where."""
-    columns = iter(top.T)
+    columns = iter(values[:t])
     value = next(columns)
     cleared = value >= reserve
     eff = np.where(cleared, value, 0.0)
@@ -261,14 +261,15 @@ def second_price_where(top, runner_up, reserve):
         cleared = value >= reserve
         eff += np.where(cleared, value, 0.0)
         won += cleared
+    runner_up = values[t] if len(values) > t else np.zeros(values.shape[1])
     return eff, won * np.maximum(reserve, runner_up)
 
 
 @st.composite
 def priced_block(draw):
-    """(top, runner_up, reserve): the pair `_select` returns at a prefix
-    width w in 1..t+2, t in 1..12, laid out as it returns them: rows of
-    min(w, t) descending values and the (t+1)-th, 0 when w <= t. Zeros,
+    """(values, t, reserve): the stack `_select` returns at depth t+1 and a
+    prefix width w in 1..t+2, t in 1..12, laid out as it returns it: the
+    min(w, t+1) highest values of each trial as rows, highest first. Zeros,
     ties and values equal to the reserve are common."""
     t, rows = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     n = min(draw(st.integers(1, t + 2)), t + 1)
@@ -276,7 +277,7 @@ def priced_block(draw):
     entry = st.sampled_from([0.0, 0.5, 1.0, reserve]) | st.floats(0.0, 10.0)
     values = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n)))
     desc = np.ascontiguousarray(np.sort(values.reshape(rows, n), axis=1)[:, ::-1].T)
-    return desc[:t].T, desc[t] if n > t else np.zeros(rows), reserve
+    return desc, t, reserve
 
 
 @given(priced_block())
@@ -285,9 +286,9 @@ def test_second_price_mask_multiply_matches_where(block):
     # a value times its winner mask is np.where(mask, value, 0.0), bit for
     # bit, for the finite values >= +0.0 every quantile returns; at reserve
     # 0 (EMA) every value clears and the masks are skipped
-    top, runner_up, reserve = block
+    values, t, reserve = block
     for r in (reserve, 0.0):
-        for ours, ref in zip(_second_price(top, runner_up, r), second_price_where(top, runner_up, r)):
+        for ours, ref in zip(_second_price(values, t, r, True), second_price_where(values, t, r)):
             assert ours.tobytes() == ref.tobytes()
             assert not np.signbit(ours).any()  # no -0.0
 
@@ -295,13 +296,13 @@ def test_second_price_mask_multiply_matches_where(block):
 @given(priced_block())
 @settings(max_examples=300, deadline=None)
 def test_second_price_without_runner_up_is_the_full_rules_efficiency(block):
-    # a row that reads no revenue passes no runner-up; its efficiency is
-    # the full rule's, bit for bit, with and without a reserve
-    top, runner_up, reserve = block
+    # a row that reads no revenue passes a stack without the runner-up; its
+    # efficiency is the full rule's, bit for bit, with and without a reserve
+    values, t, reserve = block
     for r in (0.0, 1.0, reserve):
-        eff, rev = _second_price(top, None, r)
+        eff, rev = _second_price(values[:t], t, r, False)
         assert rev is None
-        assert eff.tobytes() == _second_price(top, runner_up, r)[0].tobytes()
+        assert eff.tobytes() == _second_price(values, t, r, True)[0].tobytes()
 
 
 @pytest.mark.parametrize("c", range(2, 9))
@@ -341,13 +342,13 @@ def uniforms_near_branches(draw):
 def test_uniform_space_selection_matches_sorted_values(case):
     # a nondecreasing quantile maps the uniforms' order statistics onto the
     # values', so selecting before mapping loses nothing, bit for bit; the
-    # top t come highest first
+    # top t come highest first, then the runner-up, absent when n <= t
     dist, u, t = case
     n = u.shape[1]
-    [(top, runner_up)] = _select(u, t, dist.quantile, {n}).values()
+    [stack] = _select(u, t + 1, dist.quantile, {n}).values()
     values = np.sort(np.asarray(dist.quantile(u)), axis=1)
-    assert np.array_equal(top, values[:, ::-1][:, :t])
-    assert np.array_equal(runner_up, values[:, n - t - 1] if n > t else np.zeros(len(u)))
+    assert np.array_equal(stack[:t].T, values[:, ::-1][:, :t])
+    assert np.array_equal(stack[t:].T, values[:, ::-1][:, t : t + 1])
 
 
 @st.composite
@@ -364,13 +365,13 @@ def prefix_widths(draw):
 def test_prefix_selection_equals_selecting_the_prefix(case):
     # one pass over the columns yields every prefix's selection, bit for bit
     dist, u, t, widths = case
-    pairs = _select(u, t, dist.quantile, widths)
-    assert pairs.keys() == widths
-    for w, (top, runner_up) in pairs.items():
-        [(alone_top, alone_runner_up)] = _select(u[:, :w], t, dist.quantile, {w}).values()
-        assert top.shape == alone_top.shape == (len(u), min(w, t))
-        assert np.array_equal(top, alone_top)
-        assert np.array_equal(runner_up, alone_runner_up)
+    stacks = _select(u, t + 1, dist.quantile, widths)
+    assert stacks.keys() == widths
+    for w, stack in stacks.items():
+        [alone] = _select(u[:, :w], t + 1, dist.quantile, {w}).values()
+        assert stack.shape == alone.shape == (min(w, t + 1), len(u))
+        assert np.array_equal(stack[:t], alone[:t])
+        assert np.array_equal(stack[t:], alone[t:])
 
 
 @st.composite
@@ -391,19 +392,18 @@ def selection_case(draw):
 @given(case=selection_case())
 @settings(max_examples=200, deadline=None)
 def test_in_place_registers_select_like_a_sort(quantile, case):
-    # the registers are updated in place, yet every width's pair is a sort's,
-    # bit for bit, u is left as it was, and no two widths share memory
+    # the registers are updated in place, yet every width's stack is a
+    # sort's, bit for bit, u is left as it was, and no two widths share memory
     u, t, widths = case
     before = u.copy()
-    pairs = _select(u, t, quantile, widths)
+    stacks = _select(u, t + 1, quantile, widths)
     assert u.tobytes() == before.tobytes()
-    for w, (top, runner_up) in pairs.items():
+    for w, stack in stacks.items():
         desc = np.sort(np.asarray(quantile(u[:, :w])), axis=1)[:, ::-1]
-        assert top.tobytes() == desc[:, :t].tobytes()
-        assert runner_up.tobytes() == (desc[:, t] if w > t else np.zeros(len(u))).tobytes()
-        for a in (top, runner_up):
-            assert not np.shares_memory(a, u)
-            assert not any(np.shares_memory(a, b) for v, pair in pairs.items() if v != w for b in pair)
+        assert stack[:t].T.tobytes() == desc[:, :t].tobytes()
+        assert stack[t:].T.tobytes() == desc[:, t : t + 1].tobytes()
+        assert not np.shares_memory(stack, u)
+        assert not any(np.shares_memory(stack, other) for v, other in stacks.items() if v != w)
 
 
 @pytest.mark.parametrize("quantile", [lambda v: v, Exponential(1.0).quantile], ids=["identity", "exp"])
@@ -415,16 +415,15 @@ def test_selection_without_runner_up_is_the_top_of_the_full_one(quantile, case):
     # no two widths share memory
     u, t, widths = case
     before = u.copy()
-    pairs = _select(u, t, quantile, widths, runner_up=False)
+    stacks = _select(u, t, quantile, widths)
     assert u.tobytes() == before.tobytes()
-    full = _select(u, t, quantile, widths)
-    assert pairs.keys() == full.keys() == widths
-    for w, (top, runner_up) in pairs.items():
-        assert runner_up is None
-        assert top.shape == full[w][0].shape == (len(u), min(w, t))
-        assert top.tobytes() == full[w][0].tobytes()
-        assert not np.shares_memory(top, u)
-        assert not any(np.shares_memory(top, pairs[v][0]) for v in widths if v != w)
+    full = _select(u, t + 1, quantile, widths)
+    assert stacks.keys() == full.keys() == widths
+    for w, stack in stacks.items():
+        assert stack.shape == full[w][:t].shape == (min(w, t), len(u))  # no runner-up row
+        assert stack.tobytes() == full[w][:t].tobytes()
+        assert not np.shares_memory(stack, u)
+        assert not any(np.shares_memory(stack, stacks[v]) for v in widths if v != w)
 
 
 @pytest.mark.parametrize(
@@ -500,8 +499,8 @@ def dispatch_digest():
             permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
             stats = []
             for cols in (u, permuted):
-                [(top, runner_up)] = _select(cols, t, dist.quantile, {n}).values()
-                stats.append((*_second_price(top, runner_up, 0.0), *_second_price(top, runner_up, r)))
+                [stack] = _select(cols, t + 1, dist.quantile, {n}).values()
+                stats.append((*_second_price(stack, t, 0.0, True), *_second_price(stack, t, r, True)))
             assert all(np.array_equal(a, b) for a, b in zip(*stats)), (dist, n, t)
             h.update(b"".join(stat.tobytes() for stat in stats[0]))
     return h.hexdigest()
