@@ -2,11 +2,13 @@
 """Run the full battery of named experiments and collect CSV/JSON reports.
 
 Smoke scale by default (1e6 trials); pass --full for the 1e7-trial runs the
-strict-loss experiment wants. Each experiment lands in <outdir>/<name>.csv
-and <outdir>/<name>.json; the script prints one `<sha256>  <name>.<ext>`
-line per report, as `sha256sum` would from inside <outdir>, and exits
-nonzero if any experiment's asserted inequalities fail. Two runs wrote the
-same bytes when those lines match, e.g. under MECH_EFF_THREADS=1 and =2.
+strict-loss experiment wants. Each job lands in <outdir>/<name>.csv and
+<outdir>/<name>.json, where <name> is the experiment's, or gainloss_<family>
+for gainloss on the uniform and extremal families; the script prints one
+`<sha256>  <name>.<ext>` line per report, as `sha256sum` would from inside
+<outdir>, and exits nonzero if any experiment's asserted inequalities fail.
+Two runs wrote the same bytes when those lines match, e.g. under
+MECH_EFF_THREADS=1 and =2, or against two source trees.
 
 Usage:
     python scripts/run_experiments.py --outdir results [--full] [--seed N]
@@ -21,29 +23,31 @@ from mecheff.cli import main as cli_main
 
 
 def jobs(outdir, seed, n_smoke, n_big):
-    """The `mech-eff` argv of each experiment in the battery, in run order."""
-    battery = [
-        ["bounds", "--k", "1..100"],
-        ["gainloss", "--dist", "exponential:1", "--k", "1..8"],
-        ["thm1", "--dist", "exponential:1", "--k", "1,2,5,10", "--n", str(n_smoke)],
-        ["thm2", "--k", "3..8", "--n", str(n_big)],
-        ["thm3", "--dist", "exponential:1", "--k", "20", "--t", "2", "--n", str(n_smoke)],
-        ["regular_cx", "--k", "1..5", "--m", "1..10"],
-        ["ratio", "--dist", "exponential:1", "--k", "1..10", "--n", str(n_smoke)],
-        ["bk", "--dist", "uniform:1", "--k", "1..5", "--n", str(n_smoke)],
-    ]
-    return [job + ["--seed", str(seed), "--out", f"{outdir}/{job[0]}"] for job in battery]
+    """The `mech-eff` argv of each job in the battery, in run order."""
+    battery = {
+        "bounds": ["bounds", "--k", "1..100"],
+        "gainloss": ["gainloss", "--dist", "exponential:1", "--k", "1..8"],
+        "gainloss_uniform": ["gainloss", "--dist", "uniform:1", "--k", "1..8"],
+        "gainloss_g": ["gainloss", "--dist", "g:0.63:1", "--k", "1..8"],
+        "thm1": ["thm1", "--dist", "exponential:1", "--k", "1,2,5,10", "--n", str(n_smoke)],
+        "thm2": ["thm2", "--k", "3..8", "--n", str(n_big)],
+        "thm3": ["thm3", "--dist", "exponential:1", "--k", "20", "--t", "2", "--n", str(n_smoke)],
+        "regular_cx": ["regular_cx", "--k", "1..5", "--m", "1..10"],
+        "ratio": ["ratio", "--dist", "exponential:1", "--k", "1..10", "--n", str(n_smoke)],
+        "bk": ["bk", "--dist", "uniform:1", "--k", "1..5", "--n", str(n_smoke)],
+    }
+    return [job + ["--seed", str(seed), "--out", f"{outdir}/{name}"] for name, job in battery.items()]
 
 
 def run(outdir, seed, n_smoke, n_big):
     failures = []
     for args in jobs(outdir, seed, n_smoke, n_big):
         rc = cli_main(args)
+        prefix = args[args.index("--out") + 1]
         if rc != 0:
-            failures.append((args[0], rc))
+            failures.append((Path(prefix).name, rc))
         if rc == 2:  # a refused config writes no report
             continue
-        prefix = args[args.index("--out") + 1]
         for report in (Path(prefix + ".csv"), Path(prefix + ".json")):
             print(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  {report.name}")
     return failures

@@ -60,53 +60,41 @@ __all__ = [
 _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
 _MAX_TERMS = 10_000_000
 _LOG_CUTOFF = math.log(1e-20)
-_BLOCK_ELEMS = 1 << 16
 # the (1+eps) slack of the t-item bound 2.2 log k + t*Theta(log log k)
 EPSILON_SLACK = 0.1
 
 
 def _tail_series(x, k: int):
-    """S(x, k) = sum_{j>=1} x^j/(k+j), elementwise, truncated below 1e-20.
+    """S(x, k) = sum_{j>=1} x^j/(k+j), elementwise, for x >= 0.
 
-    Equals -( ln(1-x) + sum_{i<=k} x^i/i ) / x^k without cancellation.
-    Converges geometrically for 0 <= x < 1. Raises DomainError up front,
-    rather than truncate, when the terms (which shrink in j) are still above
-    1e-20 at the `_MAX_TERMS`-th.
-
-    The sum stops at the first j whose largest term is <= 1e-20. It takes a
-    block of terms per step: `np.multiply.accumulate` and `np.add.accumulate`
-    fold the powers and partial sums down the block one term at a time, so
-    the result equals a term-by-term loop bit for bit, without a Python step
-    per term. accumulate runs each element's chain serially, so on an x of
-    thousands of elements this is slower than a loop vectorised across x.
+    Equals -( ln(1-x) + sum_{i<=k} x^i/i ) / x^k without cancellation, and
+    converges geometrically for 0 <= x < 1. The sum stops at the first j
+    whose largest term is <= 1e-20, that term included. Rounded multiply
+    and divide are monotone in x >= 0, so the largest term at every j is
+    the one at the largest x: a loop over floats at that x finds the stop
+    (and is the whole sum for a scalar), and an array takes the same j
+    steps vectorised across its elements. Raises DomainError up front,
+    rather than truncate, when the terms are still above 1e-20 at the
+    `_MAX_TERMS`-th.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    x_max = float(np.abs(arr).max(initial=0.0))  # NaN stays NaN and is refused
+    arr = np.asarray(x, dtype=np.float64)
+    x_max = float(arr.max(initial=0.0))  # NaN stays NaN and is refused
     if x_max != 0.0 and not _MAX_TERMS * math.log(x_max) - math.log(k + _MAX_TERMS) <= _LOG_CUTOFF:
         raise DomainError(f"S(x, {k}) at x = {x_max!r} needs over {_MAX_TERMS} terms")
-    flat = arr.ravel()
-    s = np.zeros_like(flat)
-    p = np.ones_like(flat)
-    j = 0
-    # |x|^j <= 1e-20 from j = ln(1e-20)/ln|x| on, so one block often holds every term
-    need = _LOG_CUTOFF / math.log(x_max) if 0.0 < x_max < 1.0 else 1.0
-    block = 1 + int(min(need, _BLOCK_ELEMS // max(1, flat.size)))
-    while True:
-        powers = np.empty((block, flat.size))
-        powers[0] = p * flat
-        powers[1:] = flat
-        np.multiply.accumulate(powers, axis=0, out=powers)
-        terms = powers / np.arange(k + j + 1, k + j + block + 1, dtype=np.float64)[:, None]
-        small = np.flatnonzero(terms.max(axis=1, initial=0.0) <= 1e-20)
-        used = small[0] + 1 if small.size else block
-        terms[0] += s
-        s = np.add.accumulate(terms[:used], axis=0)[-1]
-        if small.size:
-            break
-        p = powers[-1]
-        j += block
-    s = s.reshape(arr.shape)
-    return s if np.ndim(x) else float(s[0])
+    p, s, term, n = 1.0, 0.0, 1.0, 0
+    while term > 1e-20:
+        n += 1
+        p *= x_max
+        term = p / (k + n)
+        s += term
+    if arr.ndim == 0:
+        return s
+    p, s, term = np.ones_like(arr), np.zeros_like(arr), np.empty_like(arr)
+    for j in range(1, n + 1):
+        p *= arr
+        np.divide(p, k + j, out=term)
+        s += term
+    return s
 
 
 def order_stat_cdf(dist: ValueDistribution, k: int, x) -> float:
@@ -207,11 +195,11 @@ def q_poly(x, k: int, m: int):
     """
     if k < 1 or m < 1:
         raise ValueError("k and m must be at least 1")
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    arr = np.asarray(x, dtype=np.float64)
     if np.any((arr < 0.0) | (arr >= 1.0)):
         raise DomainError("x must lie in [0, 1)")
     out = arr**k * (arr**m - _tail_series(arr, k))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _bound(k, formula):

@@ -431,16 +431,22 @@ FAMILIES = {"exponential": Exponential, "uniform": Uniform, "g": GFamily, "p": P
 
 
 def from_spec(record: dict) -> ValueDistribution:
-    """Build a distribution from a tagged record, e.g. {"family": "g", ...}."""
+    """Build a distribution from a tagged record, e.g. {"family": "g", ...}.
+
+    Each field is an int or a float, not a bool, or null for absent; any
+    other value raises ValueError, as the reports would echo it verbatim."""
     if not isinstance(record, dict) or "family" not in record:
         raise ValueError("distribution record must be a dict with a 'family' tag")
     family = record["family"]
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
+    # a null field is an absent one, so it takes the dataclass default
+    params = {k: v for k, v in record.items() if k != "family" and v is not None}
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{family} field {key!r} must be a number, got {value!r}")
     try:
-        # a null field is an absent one, so it takes the dataclass default
-        params = {k: float(v) for k, v in record.items() if k != "family" and v is not None}
-        return FAMILIES[family](**params)
+        return FAMILIES[family](**{k: float(v) for k, v in params.items()})
     except TypeError as exc:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 

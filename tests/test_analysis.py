@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ def tail_series_by_terms(x, k):
         s += term
         if float(term.max(initial=0.0)) <= 1e-20:
             return s if np.ndim(x) else float(s[0])
+
+
+def tail_series_exact(x, k):
+    """S(x, k) in rationals at the float x, summed until the geometric bound
+    on the rest, x^(J+1)/((k+J+1)(1-x)), is below 1e-30 of the sum."""
+    x = Fraction(x)
+    s, p, j = Fraction(0), Fraction(1), k
+    while True:
+        j += 1
+        p *= x
+        s += p / j
+        if p * x / ((j + 1) * (1 - x)) < s / 10**30:
+            return s
 
 
 def loss_literal(phi, r, k):
@@ -354,6 +368,26 @@ def test_tail_series_sums_the_terms_in_loop_order(k):
     assert np.array_equal(_tail_series(grid, k), tail_series_by_terms(grid, k))
     for x in (0.0, 0.3, ALPHA, 0.99):
         assert _tail_series(x, k) == tail_series_by_terms(x, k)
+    # on a tiny grid the stopping term itself still moves the last bits
+    tiny = np.linspace(0.0, 1e-12, 5)
+    for arr in (np.array(0.3), np.array([ALPHA]), np.zeros(4), np.array([]), tiny):
+        got, want = _tail_series(arr, k), tail_series_by_terms(arr, k)
+        assert type(got) is type(want)
+        assert np.shape(got) == arr.shape and np.array_equal(got, want)
+    # q_poly's scalar path (float and 0-d in, Python float out) against a 1-element array
+    for x in np.linspace(0.0, 1.0 - 1.0 / math.e, 257):
+        one = q_poly(np.array([x]), k, 3)[0]
+        for scalar in (float(x), np.array(x)):
+            q = q_poly(scalar, k, 3)
+            assert type(q) is float and q == one
+
+
+@pytest.mark.parametrize(
+    ("x", "k"), [(x, k) for x in (0.125, 0.5, ALPHA) for k in (1, 2, 8, 128)] + [(0.9, 1)]
+)
+def test_tail_series_matches_an_exact_rational_sum(x, k):
+    exact = tail_series_exact(x, k)
+    assert abs(Fraction(_tail_series(x, k)) - exact) <= exact / 10**14
 
 
 def test_q_sign_structure_spot():

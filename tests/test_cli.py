@@ -249,6 +249,14 @@ def test_config_integers_are_not_truncated(tmp_path, experiment, record):
     assert main([experiment, "--config", str(path)]) == 2
 
 
+def test_distribution_fields_must_be_numbers(tmp_path):
+    # a bool or a number's text would run at float(value) and be echoed as given
+    for dist in ('{"family": "exponential", "rate": true}', '{"family": "uniform", "hi": "2"}'):
+        for name in ("reserve", "thm1"):
+            assert main([name, "--dist", dist, "--k", "1", "--n", "1000", "--out", str(tmp_path / name)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_integral_floats_are_ints(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"t": 2.0, "k": 3.0, "m": 5.0, "n_trials": 1e3, "seed": 7.0}))
@@ -343,11 +351,19 @@ def battery_script():
 
 def test_battery_jobs_parse(tmp_path):
     # every argv of scripts/run_experiments.py builds its config without running
+    # and writes its own reports; gainloss runs on every family the benchmark runs it on
     jobs = battery_script().jobs(tmp_path, 7, 1000, 2000)
-    assert sorted(job[0] for job in jobs) == sorted(set(cli._EXPERIMENTS) - {"reserve"})
-    for argv in jobs:
+    assert {job[0] for job in jobs} == set(cli._EXPERIMENTS) - {"reserve"}
+    outs = [argv[argv.index("--out") + 1] for argv in jobs]
+    assert len(set(outs)) == len(outs)
+    families = []
+    for argv, out in zip(jobs, outs):
         cfg = cli.build_config(cli._build_parser().parse_args(argv))
-        assert (cfg.experiment, cfg.seed, cfg.output_path) == (argv[0], 7, f"{tmp_path}/{argv[0]}")
+        assert (cfg.experiment, cfg.seed, cfg.output_path) == (argv[0], 7, out)
+        assert Path(out).parent == tmp_path and Path(out).name.startswith(argv[0])
+        if cfg.experiment == "gainloss":
+            families.append(cfg.distribution["family"])
+    assert sorted(families) == ["exponential", "g", "uniform"]
 
 
 def test_battery_prints_each_reports_sha256(tmp_path, capsys):
@@ -356,7 +372,7 @@ def test_battery_prints_each_reports_sha256(tmp_path, capsys):
     script = battery_script()
     failures = script.run(tmp_path, 7, 2000, 2000)
     lines = [line.split("  ") for line in capsys.readouterr().out.splitlines() if "->" not in line]
-    names = [job[0] for job in script.jobs(tmp_path, 7, 2000, 2000)]
+    names = [Path(job[job.index("--out") + 1]).name for job in script.jobs(tmp_path, 7, 2000, 2000)]
     assert [name for _, name in lines] == [f"{n}.{ext}" for n in names for ext in ("csv", "json")]
     for digest, name in lines:
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

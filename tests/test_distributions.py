@@ -561,6 +561,12 @@ def test_from_spec_rejects_garbage():
         from_spec({"family": "g", "phi": 0.5})
     with pytest.raises(ValueError):
         from_spec({"family": "g", "phi": [0.5], "r": 1.0})
+    # a bool or a number's text is not a number (null, above, means absent)
+    for value in (True, False, "2", "nan", {"v": 1}):
+        with pytest.raises(ValueError):
+            from_spec({"family": "uniform", "hi": value})
+        with pytest.raises(ValueError):
+            from_spec({"family": "exponential", "rate": value})
 
 
 def test_cdf_left_removes_atom_at_point():
