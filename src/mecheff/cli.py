@@ -26,6 +26,7 @@ import operator
 import sys
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -175,20 +176,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _exact_ints(values) -> bool:
+    """Every value is an exact int (no bool, no numpy scalar), so `str` gives
+    its text in the CSV and in the JSON alike."""
+    return set(map(type, values)) == {int}
+
+
+def _csv_line(row) -> str:
+    """The csv module's text for one row, with its line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
 def _columns_to_csv(columns) -> str:
     """The columns as CSV rows under a header of their names, every cell as
-    `_fmt` writes it.
+    `_fmt` writes it and csv.writer quotes it.
 
-    A column of exact ints goes to the writer as it is, since the writer
-    prints an int as `str`, as `_fmt` does; every other column goes through
-    `_fmt`. Columns of unequal length raise ValueError.
+    The rows are laid out by one `%` format: a row template of one `%s`
+    per column, repeated once per row, applied to the flat tuple of every
+    cell in row order. The cells are its arguments, never part of the
+    template, so a `%` in them has no effect; the header, csv.writer's
+    line for the names, goes before the rows. A column of exact ints goes
+    in as it is, since `%s` prints an int as `str`, as `_fmt` and
+    csv.writer do; any other cell goes through `_fmt`. The csv module
+    decides every quote: a cell that holds no comma, double quote,
+    carriage return or line feed, and is not the lone field of a row, goes
+    in as it is, as csv.writer writes such a cell; any other cell takes
+    csv.writer's text. There must be at
+    least one column; columns of unequal length raise ValueError.
     """
-    cells = [v if set(map(type, v)) == {int} else list(map(_fmt, v)) for v in columns.values()]
-    buf = io.StringIO()
-    writer = csv.writer(buf, delimiter=",", lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*cells, strict=True))
-    return buf.getvalue()
+    lone = len(columns) == 1
+
+    def text(value):
+        cell = _fmt(value)
+        if (cell or not lone) and _CSV_SPECIAL.isdisjoint(cell):
+            return cell
+        return _csv_line([cell])[:-1]
+
+    cells = [v if _exact_ints(v) else list(map(text, v)) for v in columns.values()]
+    args = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    return _csv_line(columns) + (row * (len(args) // len(columns))) % args
 
 
 def _summary_json(head, columns) -> str:
@@ -196,15 +228,20 @@ def _summary_json(head, columns) -> str:
     byte, where row i maps each column name to the column's i-th value.
 
     With `indent` set, json encodes in pure Python, which costs most of a
-    100,000-row report. So each column is encoded by one call to json's C
-    encoder, with a newline between values, and split back into its cells
-    at the line breaks, since json (ASCII-only by default) escapes every
-    line break inside a string; the rows are laid out here around those
-    cells. Every nonempty list or dict of scalars in `head` is encoded by
-    the C encoder too, with the newline and padding of its depth put into
-    `separators`. Any other list or dict is laid out here around its
-    encoded entries; its keys must be strings. There must be at least one
-    row; columns of unequal length raise ValueError.
+    100,000-row report. So the rows are laid out here, by one `%` format:
+    a row template, repeated once per row, applied to the flat tuple of
+    every cell in row order. The template holds the column names, encoded
+    by json and `%`-escaped; the cells are its arguments, never part of the
+    template, so a `%` in them has no effect. A column of exact ints goes
+    in as it is, since `%s` prints an int as `str`, which is json's text
+    for it. Any other column is encoded by one call to json's C encoder,
+    with a newline between values, and split back into its cells at the
+    line breaks, since json (ASCII-only by default) escapes every line
+    break inside a string. Every nonempty list or dict of scalars in
+    `head` is encoded by the C encoder too, with the newline and padding
+    of its depth put into `separators`. Any other list or dict is laid out
+    here around its encoded entries; its keys must be strings. There must
+    be at least one row; columns of unequal length raise ValueError.
     """
     containers = (list, tuple, dict)
 
@@ -231,9 +268,16 @@ def _summary_json(head, columns) -> str:
     name_fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
     row_format = f"    {{\n{name_fields}\n    }}"
 
-    cells = (json.dumps(columns[name], separators=("\n", ": "))[1:-1].splitlines() for name in names)
+    def texts(column):
+        if _exact_ints(column):
+            return column
+        return json.dumps(column, separators=("\n", ": "))[1:-1].splitlines()
+
+    cells = [texts(columns[name]) for name in names]
+    args = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    rows = ",\n".join([row_format] * (len(args) // len(names))) % args
     entries = {key: encode(value, "  ") for key, value in head.items()}
-    entries["rows"] = "[\n%s\n  ]" % ",\n".join(map(row_format.__mod__, zip(*cells, strict=True)))
+    entries["rows"] = f"[\n{rows}\n  ]"
     body = ",\n  ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(entries.items()))
     return f"{{\n  {body}\n}}"
 
@@ -289,10 +333,11 @@ def _run_gainloss(cfg, dist):
 
 
 def _run_bounds(cfg, dist):
+    ks = np.asarray(cfg.k, dtype=np.float64)  # converted once for both bounds
     columns = {
         "k": cfg.k,
-        "m_upper": analysis.upper_bound_m(cfg.k),
-        "m_lower": analysis.lower_bound_m(cfg.k),
+        "m_upper": analysis.upper_bound_m(ks),
+        "m_lower": analysis.lower_bound_m(ks),
     }
     return columns, {}
 
