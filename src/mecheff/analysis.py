@@ -37,7 +37,7 @@ import numpy as np
 
 from .distributions import ALPHA, GFamily, ValueDistribution, cdf_left, check_phi, reserve_price
 from .errors import DegenerateConditioning, DomainError, SearchExhausted
-from .numerics import adaptive_simpson
+from .numerics import adaptive_simpson, simpson_sweep
 
 __all__ = [
     "ALPHA",
@@ -120,10 +120,12 @@ def loss_numeric(
 
     `k` is an int, giving a float, or a sequence of ints (a k sweep),
     giving a tuple with one loss per k in order. Each k keeps its own
-    Simpson tree, so a sweep returns exactly the floats of its per-k calls;
-    the trees refine the same grid, and the sweep evaluates the cdf (and
-    for `density` the pdf) once per distinct node, remembered only for the
-    length of the call.
+    Simpson tree, and `simpson_sweep` refines every k's tree together, one
+    level at a time, so a sweep returns exactly the floats of its per-k
+    calls, and those of `adaptive_simpson` on each k's integrand. Each
+    level evaluates the cdf (and for `density` the pdf) once on the array
+    of its distinct nodes; the powers of the weight are Python floats, as
+    numpy's array power can differ from `**` in the last bit.
 
     Raises DegenerateConditioning when the below-reserve event has
     probability under 1e-12 (the conditional loss is 0 in the limit).
@@ -141,21 +143,22 @@ def loss_numeric(
     breaks = [loc for loc, _ in dist.atoms if 0.0 < loc < r]
     if isinstance(dist, GFamily):
         breaks.append(dist.t_knot)
+    js = np.array(ks)
+    exponents = js - 1 if method == "density" else js
 
-    # one cdf (and pdf) evaluation per node, shared by every k's tree for the
-    # length of this call; clamping at phi = F(r-) keeps an atom exactly at r
-    # out of the endpoint samples, and on [0, r) the two agree
-    weight = functools.cache(lambda x: min(float(dist.cdf(x)), phi) / phi)
-    density = functools.cache(lambda x: float(dist.pdf(x)))
-
-    def integrand(j):
+    def integrand(idx, xs):
+        # clamping at phi = F(r-) keeps an atom exactly at r out of the
+        # endpoint samples, and on [0, r) the two agree
+        nodes, at = np.unique(xs, return_inverse=True)
+        weight = (np.minimum(dist.cdf(nodes), phi) / phi)[at]
+        power = np.array([w**e for w, e in zip(weight.tolist(), exponents[idx].tolist())])
         if method == "cdf":
-            return lambda x: weight(x) ** j
-        return lambda x: x * j * weight(x) ** (j - 1) * density(x) / phi
+            return power
+        return xs * js[idx] * power * np.asarray(dist.pdf(nodes))[at] / phi
 
     tol = 1e-10 * max(1.0, r)
-    areas = [adaptive_simpson(integrand(j), 0.0, r, tol=tol, breakpoints=breaks) for j in ks]
-    losses = tuple(r - a for a in areas) if method == "cdf" else tuple(areas)
+    areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=tol, breakpoints=breaks)
+    losses = tuple(r - a for a in areas) if method == "cdf" else areas
     return losses[0] if scalar else losses
 
 

@@ -176,10 +176,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _exact_ints(values) -> bool:
-    """Every value is an exact int (no bool, no numpy scalar), so `str` gives
-    its text in the CSV and in the JSON alike."""
-    return set(map(type, values)) == {int}
+def _int_columns(columns) -> frozenset:
+    """The names of the columns whose every value is an exact int (no bool,
+    no numpy scalar), so `str` gives its text in the CSV and in the JSON
+    alike; each column is scanned once, for both writers."""
+    return frozenset(name for name, values in columns.items() if set(map(type, values)) == {int})
 
 
 def _csv_line(row) -> str:
@@ -192,7 +193,7 @@ def _csv_line(row) -> str:
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
-def _columns_to_csv(columns) -> str:
+def _columns_to_csv(columns, int_columns) -> str:
     """The columns as CSV rows under a header of their names, every cell as
     `_fmt` writes it and csv.writer quotes it.
 
@@ -200,14 +201,14 @@ def _columns_to_csv(columns) -> str:
     per column, repeated once per row, applied to the flat tuple of every
     cell in row order. The cells are its arguments, never part of the
     template, so a `%` in them has no effect; the header, csv.writer's
-    line for the names, goes before the rows. A column of exact ints goes
-    in as it is, since `%s` prints an int as `str`, as `_fmt` and
-    csv.writer do; any other cell goes through `_fmt`. The csv module
-    decides every quote: a cell that holds no comma, double quote,
-    carriage return or line feed, and is not the lone field of a row, goes
-    in as it is, as csv.writer writes such a cell; any other cell takes
-    csv.writer's text. There must be at
-    least one column; columns of unequal length raise ValueError.
+    line for the names, goes before the rows. A column named in
+    `int_columns` (see `_int_columns`) goes in as it is, since `%s` prints
+    an int as `str`, as `_fmt` and csv.writer do; any other cell goes
+    through `_fmt`. The csv module decides every quote: a cell that holds
+    no comma, double quote, carriage return or line feed, and is not the
+    lone field of a row, goes in as it is, as csv.writer writes such a
+    cell; any other cell takes csv.writer's text. There must be at least
+    one column; columns of unequal length raise ValueError.
     """
     lone = len(columns) == 1
 
@@ -217,13 +218,13 @@ def _columns_to_csv(columns) -> str:
             return cell
         return _csv_line([cell])[:-1]
 
-    cells = [v if _exact_ints(v) else list(map(text, v)) for v in columns.values()]
+    cells = [v if name in int_columns else list(map(text, v)) for name, v in columns.items()]
     args = tuple(chain.from_iterable(zip(*cells, strict=True)))
     row = ",".join(["%s"] * len(columns)) + "\n"
     return _csv_line(columns) + (row * (len(args) // len(columns))) % args
 
 
-def _summary_json(head, columns) -> str:
+def _summary_json(head, columns, int_columns) -> str:
     """json.dumps({**head, "rows": rows}, indent=2, sort_keys=True), byte for
     byte, where row i maps each column name to the column's i-th value.
 
@@ -232,9 +233,9 @@ def _summary_json(head, columns) -> str:
     a row template, repeated once per row, applied to the flat tuple of
     every cell in row order. The template holds the column names, encoded
     by json and `%`-escaped; the cells are its arguments, never part of the
-    template, so a `%` in them has no effect. A column of exact ints goes
-    in as it is, since `%s` prints an int as `str`, which is json's text
-    for it. Any other column is encoded by one call to json's C encoder,
+    template, so a `%` in them has no effect. A column named in
+    `int_columns` (see `_int_columns`) goes in as it is, since `%s` prints
+    an int as `str`, which is json's text for it. Any other column is encoded by one call to json's C encoder,
     with a newline between values, and split back into its cells at the
     line breaks, since json (ASCII-only by default) escapes every line
     break inside a string. Every nonempty list or dict of scalars in
@@ -268,12 +269,12 @@ def _summary_json(head, columns) -> str:
     name_fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in names)
     row_format = f"    {{\n{name_fields}\n    }}"
 
-    def texts(column):
-        if _exact_ints(column):
-            return column
-        return json.dumps(column, separators=("\n", ": "))[1:-1].splitlines()
+    def texts(name):
+        if name in int_columns:
+            return columns[name]
+        return json.dumps(columns[name], separators=("\n", ": "))[1:-1].splitlines()
 
-    cells = [texts(columns[name]) for name in names]
+    cells = [texts(name) for name in names]
     args = tuple(chain.from_iterable(zip(*cells, strict=True)))
     rows = ",\n".join([row_format] * (len(args) // len(names))) % args
     entries = {key: encode(value, "  ") for key, value in head.items()}
@@ -522,7 +523,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     passed = experiment.check(columns)
-    csv_text = _columns_to_csv(columns)
+    int_columns = _int_columns(columns)
+    csv_text = _columns_to_csv(columns, int_columns)
     head = {
         "experiment": cfg.experiment,
         "pass": passed,
@@ -541,7 +543,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         csv_path, json_path = Path(cfg.output_path + ".csv"), Path(cfg.output_path + ".json")
         csv_path.parent.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(csv_text, encoding="utf-8")
-        json_path.write_text(_summary_json(head, columns) + "\n", encoding="utf-8")
+        json_path.write_text(_summary_json(head, columns, int_columns) + "\n", encoding="utf-8")
         print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {csv_path}")
     else:
         if experiment.csv_to_stdout:

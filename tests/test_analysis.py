@@ -23,8 +23,9 @@ from mecheff.analysis import (
     regular_counterexample_search,
     upper_bound_m,
 )
-from mecheff.distributions import Exponential, GFamily, PFamily, Uniform, ValueDistribution
+from mecheff.distributions import Exponential, GFamily, PFamily, Uniform, ValueDistribution, cdf_left, reserve_price
 from mecheff.errors import DegenerateConditioning, DomainError, SearchExhausted
+from mecheff.numerics import adaptive_simpson
 
 
 # --- independent oracles ------------------------------------------------------
@@ -139,32 +140,6 @@ class EvaluatorOnlyWeibull(ValueDistribution):
         return np.sqrt(-np.log1p(-np.asarray(u, dtype=float)))
 
 
-class CountingCdf(ValueDistribution):
-    """`inner`, recording the argument of every cdf call."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.cdf_args = []
-
-    @property
-    def atoms(self):
-        return self.inner.atoms
-
-    @property
-    def exact_reserve(self):
-        return self.inner.exact_reserve
-
-    def cdf(self, x):
-        self.cdf_args.append(x)
-        return self.inner.cdf(x)
-
-    def pdf(self, x):
-        return self.inner.pdf(x)
-
-    def quantile(self, u):
-        return self.inner.quantile(u)
-
-
 SWEEP_DISTS = [
     Exponential(1.0),
     Uniform(hi=2.0),
@@ -174,13 +149,34 @@ SWEEP_DISTS = [
 ]
 
 
+def recursive_loss(dist, k, method):
+    """`loss_numeric` one k at a time: `adaptive_simpson`'s recursion over
+    one scalar cdf (and pdf) call per node."""
+    r = reserve_price(dist)
+    phi = cdf_left(dist, r)
+    breaks = [loc for loc, _ in dist.atoms if 0.0 < loc < r]
+    if isinstance(dist, GFamily):
+        breaks.append(dist.t_knot)
+
+    def weight(x):
+        return min(float(dist.cdf(x)), phi) / phi
+
+    if method == "cdf":
+        area = adaptive_simpson(lambda x: weight(x) ** k, 0.0, r, 1e-10 * max(1.0, r), breaks)
+        return r - area
+    integrand = lambda x: x * k * weight(x) ** (k - 1) * float(dist.pdf(x)) / phi
+    return adaptive_simpson(integrand, 0.0, r, 1e-10 * max(1.0, r), breaks)
+
+
 @pytest.mark.parametrize("method", ["cdf", "density"])
 @pytest.mark.parametrize("dist", SWEEP_DISTS, ids=lambda d: type(d).__name__)
 def test_loss_sweep_equals_per_k_calls(dist, method):
+    # and, bit for bit, the recursion over one scalar evaluation per node
     ks = [3, 1, 8, 2, 13, 5, 8]
     sweep = loss_numeric(dist, ks, method)
     assert isinstance(sweep, tuple)
     assert sweep == tuple(loss_numeric(dist, k, method) for k in ks)
+    assert [x.hex() for x in sweep] == [recursive_loss(dist, k, method).hex() for k in ks]
 
 
 def test_loss_sweep_accepts_ranges_and_numpy_ints():
@@ -205,27 +201,34 @@ def test_loss_sweep_degenerate_raises_once():
 
 
 def test_loss_sweep_evaluates_each_node_once_per_call(monkeypatch):
-    # a memo that outlived a call would make a repeated sweep (as the
-    # benchmark's passes are) nearly free
+    # the sweep hands the cdf each level's distinct nodes once, so it reads
+    # as many points as the per-k recursions visit distinct nodes (793 here
+    # on a 2-CPU AVX-512 machine), plus one for cdf_left's F(r); a memo
+    # that outlived a call would make a repeated sweep (as the benchmark's
+    # passes are) nearly free
+    dist, ks = GFamily(phi=0.4, r=1.5), range(1, 65)
+    phi = cdf_left(dist, dist.r)
     nodes = set()
-    simpson = analysis.adaptive_simpson
 
-    def recording_simpson(f, *args, **kwargs):
-        def integrand(x):
-            nodes.add(x)
-            return f(x)
+    def weight(x):
+        nodes.add(x)
+        return min(float(dist.cdf(x)), phi) / phi
 
-        return simpson(integrand, *args, **kwargs)
+    for k in ks:
+        adaptive_simpson(lambda x: weight(x) ** k, 0.0, dist.r, 1e-10 * dist.r, [dist.t_knot])
+    points = []
+    cdf = GFamily.cdf
 
-    monkeypatch.setattr(analysis, "adaptive_simpson", recording_simpson)
-    dist = CountingCdf(GFamily(phi=0.4, r=1.5))
-    first = loss_numeric(dist, range(1, 65))
-    calls = len(dist.cdf_args)
-    # plus one for cdf_left's F(r) before the quadrature
-    assert calls <= len(nodes) + 1
-    dist.cdf_args.clear()
-    assert loss_numeric(dist, range(1, 65)) == first
-    assert len(dist.cdf_args) == calls
+    def counting_cdf(self, x):
+        points.append(np.size(x))
+        return cdf(self, x)
+
+    monkeypatch.setattr(GFamily, "cdf", counting_cdf)
+    first = loss_numeric(dist, ks)
+    assert sum(points) == len(nodes) + 1
+    points.clear()
+    assert loss_numeric(dist, ks) == first
+    assert sum(points) == len(nodes) + 1
 
 
 def test_loss_closed_form_examples():
@@ -576,6 +579,16 @@ def test_quadrature_returns_and_scales_at_large_r(monkeypatch):
         return simpson(g, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "adaptive_simpson", counted)
+    # loss_numeric's sweep hands the cdf its nodes level by level
+    cdf = GFamily.cdf
+
+    def counted_cdf(self, x):
+        nonlocal evals
+        evals += np.size(x)
+        assert evals < 100_000, "the quadrature is not converging"
+        return cdf(self, x)
+
+    monkeypatch.setattr(GFamily, "cdf", counted_cdf)
     r = 1e9
     unit = loss_numeric(GFamily(phi=0.5, r=1.0), [1, 2])
     for loss, unit_loss in zip(loss_numeric(GFamily(phi=0.5, r=r), [1, 2]), unit):

@@ -326,11 +326,11 @@ def test_unequal_column_lengths_propagate(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
     columns, _ = short(None, None)
     with pytest.raises(ValueError):
-        cli._columns_to_csv(columns)
+        cli._columns_to_csv(columns, cli._int_columns(columns))
     with pytest.raises(ValueError):
-        cli._summary_json({}, columns)
+        cli._summary_json({}, columns, cli._int_columns(columns))
     with pytest.raises(ValueError):
-        cli._summary_json({}, {"k": [1], "pass": []})
+        cli._summary_json({}, {"k": [1], "pass": []}, frozenset({"k"}))
 
 
 def test_unknown_subcommand_exits_2():
@@ -494,7 +494,7 @@ def column_sets(draw):
 @settings(max_examples=200, deadline=None)
 def test_summary_json_equals_indented_dumps(columns, param):
     head = {"experiment": "x", "pass": False, "params": {"k": [1, 2], "p": param}}
-    assert cli._summary_json(head, columns) == indented_dumps(head, columns)
+    assert cli._summary_json(head, columns, cli._int_columns(columns)) == indented_dumps(head, columns)
 
 
 # summary heads of any shape: nested, long, empty, with or without rows
@@ -513,7 +513,7 @@ json_values = st.recursive(
 @settings(max_examples=200, deadline=None)
 def test_summary_json_of_any_head_equals_indented_dumps(head):
     columns = {"k": [1, 2], "pass": [True, False]}
-    assert cli._summary_json(head, columns) == indented_dumps(head, columns)
+    assert cli._summary_json(head, columns, frozenset({"k"})) == indented_dumps(head, columns)
 
 
 @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))
@@ -521,9 +521,10 @@ def test_every_experiments_summary_equals_indented_dumps(tmp_path, monkeypatch, 
     seen = []
     summary_json = cli._summary_json
 
-    def spy(head, columns):
+    def spy(head, columns, int_columns):
         seen.append((head, columns))
-        return summary_json(head, columns)
+        assert int_columns == cli._int_columns(columns)
+        return summary_json(head, columns, int_columns)
 
     monkeypatch.setattr(cli, "_summary_json", spy)
     small = ["--m", "1..2"] if name == "regular_cx" else []
@@ -579,7 +580,7 @@ def csv_columns(draw):
 @example({"%(k)s": ["", "%s"], "": ["\r", 2.5], "%": [3, ""]})
 @settings(max_examples=200, deadline=None)
 def test_rows_to_csv_equals_per_cell_writer(columns):
-    assert cli._columns_to_csv(columns) == csv_per_cell(rows_of(columns))
+    assert cli._columns_to_csv(columns, cli._int_columns(columns)) == csv_per_cell(rows_of(columns))
 
 
 def test_bounds_report_at_benchmark_size_equals_oracles(tmp_path):

@@ -376,6 +376,51 @@ def test_exponential_quantile_in_one_buffer_matches_expression(rate, t):
         assert not np.any(np.signbit(x))
 
 
+ELEMENTWISE_CASES = [
+    Exponential(1.0),
+    Exponential(1e-3),
+    Uniform(hi=1.0),
+    Uniform(hi=1e3),
+    GFamily(phi=0.63, r=1.0),
+    GFamily(phi=0.4, r=1.5),
+    GFamily(phi=0.3, r=1e-3, eps=1e-9),
+    PFamily(eps=0.5, r=1.0),
+    PFamily(eps=1e-6, r=1e-3),
+    pytest.param(
+        "weibull",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="the benchmark's Weibull squares a scalar with numpy's scalar power, which "
+            "calls libm pow, and an array with an exact multiply: they differ in the last bit",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("dist", ELEMENTWISE_CASES, ids=repr)
+def test_cdf_and_pdf_act_elementwise(dist):
+    # `analysis.loss_numeric` evaluates each quadrature level's nodes in one
+    # array call and must get the bits of one scalar call per node
+    if dist == "weibull":
+        dist = load("workloads").Weibull()
+    r = reserve_price(dist)
+    special = [0.0, r, *(loc for loc, _ in dist.atoms)]
+    if isinstance(dist, GFamily):
+        special += [dist.t_knot, r + dist.eps]
+    if isinstance(dist, Uniform):
+        special.append(dist.hi)
+    special = np.array(special)
+    rng = np.random.default_rng(11)
+    xs = np.concatenate(
+        [special, np.nextafter(special, -np.inf), np.nextafter(special, np.inf), np.linspace(0.0, r, 2500)]
+    )
+    xs = np.concatenate([xs, r * rng.random(5000 - len(xs))])
+    for method in (dist.cdf, dist.pdf):
+        one_call = np.asarray(method(xs), dtype=np.float64)
+        per_point = np.array([float(method(float(x))) for x in xs])
+        assert one_call.tobytes() == per_point.tobytes(), method
+
+
 def g_quantile_masked(dist, u):
     """`GFamily.quantile` on an array, each branch evaluated only where its
     mask holds."""
