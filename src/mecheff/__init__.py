@@ -39,6 +39,7 @@ from .errors import (
     DegenerateConditioning,
     DomainError,
     MechEffError,
+    NoConvergence,
     NoRoot,
     SearchExhausted,
 )

@@ -20,3 +20,7 @@ class DegenerateConditioning(MechEffError):
 
 class SearchExhausted(MechEffError):
     """A parameter scan hit its resolution floor without finding a witness."""
+
+
+class NoConvergence(MechEffError):
+    """An adaptive refinement outgrew its budget before meeting its tolerance."""

@@ -26,9 +26,10 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import NoRoot
+from .errors import NoConvergence, NoRoot
 
 _MAX_DEPTH = 60
+_MAX_LIVE = 1 << 18  # intervals `simpson_sweep` refines in one level
 _MAX_EXPANSIONS = 200
 _MAX_BISECTIONS = 200
 _BISECT_WIDTH = 1e-12
@@ -95,6 +96,10 @@ def simpson_sweep(
     its right child's, summed bottom-up, and each integrand's pieces are
     added left to right from 0.0, so the i-th float is the recursion's for
     integrand i whenever f acts elementwise.
+
+    A level that would refine more than `_MAX_LIVE` intervals raises
+    NoConvergence: each level can double the last, and a tree that never
+    meets tol would otherwise grow until memory runs out.
     """
     if n == 0 or b <= a:
         return (0.0,) * n
@@ -123,6 +128,9 @@ def simpson_sweep(
         levels.append((value, split))
         if not split.size:
             break
+        if 2 * split.size > _MAX_LIVE:
+            level = _MAX_DEPTH - depth + 1
+            raise NoConvergence(f"{2 * split.size} intervals at level {level}, over {_MAX_LIVE}")
 
         def children(of_left, of_right):
             # the left children, then the right children

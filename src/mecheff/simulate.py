@@ -34,9 +34,15 @@ seed is an integer in [0, 2**64), the Philox key. Every trial's draws are
 therefore a pure function of (seed, trial index, width), and partial sums
 are merged per row in batch order, so results are bitwise identical for
 any worker count and for any set of rows run together. The MECH_EFF_THREADS
-environment variable, the only thread control, caps the thread pool;
-absent, the pool has one thread per CPU in the process's affinity mask, at
-most 8.
+environment variable, the only thread control, is read on every call and
+caps the thread pool; absent, the pool has one thread per CPU in the
+process's affinity mask, at most 8. One pool per cap lives as long as the
+process (a forked child drops the ones it inherits, whose threads it does
+not have), and a cap of 1 runs the batches inline, in order, on the
+calling thread. Each thread that runs batches keeps a workspace of two
+64-byte-aligned buffers, the batch's draw and `_select`'s transposed copy,
+grown to the largest batch it has seen and then reused, so a batch
+allocates neither.
 
 The bytes are fixed per numpy build, SIMD dispatch and BLAS kernel: the
 `Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`. Each
@@ -50,6 +56,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,6 +68,19 @@ from .distributions import ValueDistribution, reserve_price
 BATCH_TRIALS = 1 << 14
 
 _MECHANISMS = ("ema", "rma")
+
+_POOLS: dict[int, ThreadPoolExecutor] = {}  # one per thread cap
+_WORKSPACE = threading.local()
+
+
+def _forget_inherited():
+    # an inherited executor has no live threads in the child: a map on it hangs
+    _POOLS.clear()
+    vars(_WORKSPACE).clear()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only; without fork nothing is inherited
+    os.register_at_fork(after_in_child=_forget_inherited)
 
 
 @dataclass(frozen=True)
@@ -123,9 +143,30 @@ def _resolve_threads():
     return min(8, os.cpu_count() or 1)
 
 
-def _batch_uniforms(seed: int, batch_index: int, size):
+def _pool(threads):
+    pool = _POOLS.get(threads)
+    if pool is None:  # a racing caller's spare executor never starts a thread
+        pool = _POOLS.setdefault(threads, ThreadPoolExecutor(max_workers=threads))
+    return pool
+
+
+def _workspace(name, size):
+    """This thread's buffer `name` as `size` float64s, 64-byte aligned; it
+    grows to the largest size asked and is then reused."""
+    buffers = vars(_WORKSPACE)
+    buffer = buffers.get(name)
+    if buffer is None or buffer.size < size:
+        raw = np.empty(size + 7)
+        skip = -raw.ctypes.data % 64 // raw.itemsize
+        buffer = buffers[name] = raw[skip : skip + size]
+    return buffer[:size]
+
+
+def _batch_uniforms(seed: int, batch_index: int, size, out=None):
+    """Batch `batch_index`'s uniforms, of shape `size`; written into `out`,
+    of that shape, when given, with the same bits."""
     bitgen = np.random.Philox(key=seed, counter=batch_index << 192)
-    return np.random.Generator(bitgen).random(size)
+    return np.random.Generator(bitgen).random(size, out=out)
 
 
 def _moment_scan(dist, t, rows, n_trials, seed):
@@ -165,7 +206,8 @@ def _moment_scan(dist, t, rows, n_trials, seed):
 
     def one(b):
         trials = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
-        flat = _batch_uniforms(seed, b, trials * widest)
+        size = trials * widest
+        flat = _batch_uniforms(seed, b, size, out=_workspace("draw", size))
         out = []
         for row in rows:
             stats = np.column_stack(columns(flat, trials, row))
@@ -173,8 +215,11 @@ def _moment_scan(dist, t, rows, n_trials, seed):
             out.append((np.einsum("ij->j", stats), stats.T @ stats))
         return out
 
-    with ThreadPoolExecutor(max_workers=_resolve_threads()) as pool:
-        parts = list(pool.map(one, range(n_batches)))
+    threads = _resolve_threads()
+    if threads == 1:
+        parts = [one(b) for b in range(n_batches)]
+    else:
+        parts = list(_pool(threads).map(one, range(n_batches)))
 
     moments = [(s1.copy(), s2.copy()) for s1, s2 in parts[0]]
     for part in parts[1:]:  # fixed batch order keeps the reduction deterministic
@@ -221,16 +266,20 @@ def _select(u, depth, quantile, widths):
     same bits at any depth. `quantile` is nondecreasing, so it maps the
     registers onto the values' top `depth`, and only those rows are mapped.
 
-    The pass allocates nothing per column. It walks a private transposed
-    copy of `u`, so `u` is never written. Each compare-exchange writes the
-    larger value into one spare row, which then trades places with the
-    register it replaces, and the smaller back into the incoming column's
-    own row; a new register is that row. Each width gets a fresh stack,
-    since `quantile` may return its input.
+    The pass allocates nothing per column. It walks a transposed copy of
+    `u` kept in this thread's workspace, so `u` is never written and a call
+    allocates only one spare row and its stacks. Each compare-exchange
+    writes the larger value into the spare row, which then trades places
+    with the register it replaces, and the smaller back into the incoming
+    column's own row; a new register is that row. Each width gets a fresh
+    stack, since `quantile` may return its input, and no stack aliases the
+    workspace, which the thread's next call overwrites.
     """
     regs, stacks = [], {}
     spare = np.empty(len(u))
-    for j, x in enumerate(u.T.copy(), 1):
+    columns = _workspace("columns", u.size).reshape(u.shape[::-1])
+    np.copyto(columns, u.T)
+    for j, x in enumerate(columns, 1):
         for i, reg in enumerate(regs):
             if i == depth - 1:  # the last register only keeps the larger
                 np.maximum(reg, x, out=reg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecheff.errors import NoRoot
+from mecheff.errors import NoConvergence, NoRoot
 from mecheff.numerics import _MAX_DEPTH, adaptive_simpson, bisect, bracket_root, simpson_sweep
 
 
@@ -109,6 +109,21 @@ def test_sweep_equals_recursion_at_the_depth_cap():
     got = simpson_sweep(counted, len(fs), 0.0, 1.0, 1e-30, [])
     assert calls == 2 + _MAX_DEPTH + 1
     assert hexes(got) == hexes(adaptive_simpson(g, 0.0, 1.0, 1e-30) for g in fs)
+
+
+def test_sweep_that_never_converges_raises_within_its_budget():
+    # tol=1e-300 splits every interval, so the tree doubles each level; the
+    # integrand stops a sweep that would grow past the budget's reach
+    evals = 0
+
+    def f(idx, xs):
+        nonlocal evals
+        evals += len(xs)
+        assert evals <= 1 << 22, "the sweep ran past its interval budget"
+        return np.sin(1e3 * xs)
+
+    with pytest.raises(NoConvergence, match="over 262144"):
+        simpson_sweep(f, 1, 0.0, 1.0, tol=1e-300)
 
 
 def test_sweep_of_nothing():

@@ -1,8 +1,10 @@
 import hashlib
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -536,3 +538,117 @@ def test_default_threads_follow_affinity(monkeypatch):
     assert simulate._resolve_threads() == 5
     monkeypatch.setenv("MECH_EFF_THREADS", "2")
     assert simulate._resolve_threads() == 2
+
+
+def paired_alone(cap, pairs, t, n, seed):
+    """repr of one `paired_compare` on Exponential(1) made alone, in a fresh
+    interpreter under thread cap `cap`."""
+    code = (
+        "from mecheff.distributions import Exponential\n"
+        "from mecheff.simulate import paired_compare\n"
+        f"print(repr(paired_compare(Exponential(1.0), {pairs!r}, {t}, {n}, seed={seed})))"
+    )
+    env = {**os.environ, "MECH_EFF_THREADS": str(cap)}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
+
+
+def test_pools_and_workspaces_are_reused_bit_for_bit(monkeypatch):
+    # the widest width grows, shrinks and grows again under changing caps, in
+    # calls of two batches with a short last one; each equals the call alone
+    n = BATCH_TRIALS + 321
+    calls = [  # (cap, pairs): widest widths 38, 5, 5, 38, 38, 38
+        (1, [(20, 18)]),
+        (3, [(3, 2)]),
+        (1, [(3, 2), (1, 0)]),
+        (1, [(20, 18)]),
+        (2, [(20, 18)]),
+        (3, [(1, 37)]),
+    ]
+    draws = []  # (thread, size, address) of every batch's draw
+    real = simulate._batch_uniforms
+
+    def recording(seed, b, size, out=None):
+        draws.append((threading.get_ident(), size, out.ctypes.data))
+        got = real(seed, b, size, out=out)
+        assert np.array_equal(got, real(seed, b, size))  # the bits of a fresh draw
+        return got
+
+    monkeypatch.setattr(simulate, "_batch_uniforms", recording)
+    for seed, (cap, pairs) in enumerate(calls, 40):
+        monkeypatch.setenv("MECH_EFF_THREADS", str(cap))
+        got = repr(paired_compare(Exponential(1.0), pairs, 2, n, seed=seed))
+        assert got == paired_alone(cap, pairs, 2, n, seed)
+    assert len(draws) == 2 * len(calls)
+    # a cap of 1 draws inline, and the caller's widest first call sized the
+    # one buffer all its draws reuse
+    inline = [d for d in draws if d[0] == threading.get_ident()]
+    assert len(inline) == 6
+    assert len({address for _, _, address in inline}) == 1
+    # every thread reuses its buffer until a draw outgrows it
+    largest = {}
+    for thread, size, address in draws:
+        held_size, held_address = largest.get(thread, (0, None))
+        if size <= held_size:
+            assert address == held_address
+        else:
+            largest[thread] = size, address
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # two callers of different widths interleave their batches on one pool
+    # with more workers than this machine's CPUs may have
+    monkeypatch.setenv("MECH_EFF_THREADS", "3")
+    n = 2 * BATCH_TRIALS + 99
+    calls = [
+        (Exponential(1.0), [(20, 18), (4, 1)], 2, n, 51),
+        (PFamily(eps=0.5, r=1.0), [(3, 2)], 1, n, 52),
+    ]
+    expected = [paired_compare(*call) for call in calls]
+    got = [None] * len(calls)
+    start = threading.Barrier(len(calls), timeout=60)
+
+    def call(i):
+        start.wait()
+        got[i] = paired_compare(*calls[i])
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got == expected
+
+
+def compare_in_child(conn):
+    conn.send(repr(paired_compare(Exponential(1.0), [(20, 18)], 2, BATCH_TRIALS + 5, seed=61)))
+    conn.close()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_does_not_use_the_inherited_pool(monkeypatch):
+    # the parent's 2-thread pool has live workers; the child's copy has none
+    monkeypatch.setenv("MECH_EFF_THREADS", "2")
+    expected = repr(paired_compare(Exponential(1.0), [(20, 18)], 2, BATCH_TRIALS + 5, seed=61))
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    child = fork.Process(target=compare_in_child, args=(sender,))
+    child.start()
+    try:
+        assert receiver.poll(60), "the forked child's call hung"
+        got = receiver.recv()
+        child.join(60)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+    assert got == expected
