@@ -45,9 +45,6 @@ from .errors import (
 )
 from .simulate import (
     Estimate,
-    MechanismEstimate,
-    PairedEstimate,
-    RatioEstimate,
     efficiency_ratio,
     estimate_mechanism,
     paired_compare,

@@ -292,9 +292,18 @@ def _resolve_m(cfg: ExperimentConfig, k: int, auto_bound) -> int:
     return cfg.m
 
 
-def _not_below(value, floor, std_err) -> bool:
-    """The one-sided 3-sigma test: `value` is not significantly below `floor`."""
-    return value >= floor - 3.0 * std_err
+def _not_below(est, floor) -> bool:
+    """The one-sided 3-sigma test: the estimate is not significantly below `floor`."""
+    return est.value >= floor - 3.0 * est.std_err
+
+
+def _estimate_columns(ests, *names):
+    """The `<name>_mean` and `<name>_std_err` columns of each named estimate."""
+    columns = {}
+    for name in names:
+        columns[f"{name}_mean"] = [est[name].value for est in ests]
+        columns[f"{name}_std_err"] = [est[name].std_err for est in ests]
+    return columns
 
 
 # --- experiment runners ------------------------------------------------------
@@ -344,23 +353,19 @@ def _run_bounds(cfg, dist):
 
 
 def _paired_runner(auto_bound, row_check):
-    """thm1/thm2: EMA with k bidders against RMA with m extra, per k."""
+    """thm1/thm2: EMA with k bidders against RMA with m extra, per k; a row
+    passes when `row_check` holds for its `diff` estimate."""
 
     def run(cfg, dist):
         extras = [_resolve_m(cfg, k, auto_bound) for k in cfg.k]
-        pcs = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
+        ests = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
         columns = {
             "k": cfg.k,
             "t": [cfg.t] * len(cfg.k),
             "extra": extras,
             "n_trials": [cfg.n_trials] * len(cfg.k),
-            "diff_mean": [pc.diff_mean for pc in pcs],
-            "diff_std_err": [pc.diff_std_err for pc in pcs],
-            "eff_ema_mean": [pc.ema.mean for pc in pcs],
-            "eff_ema_std_err": [pc.ema.std_err for pc in pcs],
-            "eff_rma_mean": [pc.rma.mean for pc in pcs],
-            "eff_rma_std_err": [pc.rma.std_err for pc in pcs],
-            "pass": list(map(row_check, pcs)),
+            **_estimate_columns(ests, "diff", "eff_ema", "eff_rma"),
+            "pass": [row_check(est["diff"]) for est in ests],
         }
         return columns, {"extra_by_k": {str(k): extra for k, extra in zip(cfg.k, extras)}}
 
@@ -374,7 +379,7 @@ def _run_thm3(cfg, dist):
     ss = [analysis.multi_item_s(cfg.t, m) for m in ms]
     gains = [analysis.multi_gain_exact(phi, r, m, s, cfg.t) for m, s in zip(ms, ss)]
     extras = list(map(operator.add, ms, ss))
-    pcs = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
+    ests = simulate.paired_compare(dist, list(zip(cfg.k, extras)), cfg.t, cfg.n_trials, cfg.seed)
     floors = [r * cfg.t * (1.0 - phi**m) for m in ms]
     analytic = [g >= floor - 1e-12 for g, floor in zip(gains, floors)]
     columns = {
@@ -386,11 +391,8 @@ def _run_thm3(cfg, dist):
         "gain_exact": gains,
         "gain_floor": floors,
         "analytic_pass": analytic,
-        "diff_mean": [pc.diff_mean for pc in pcs],
-        "diff_std_err": [pc.diff_std_err for pc in pcs],
-        "pass": [
-            ok and _not_below(pc.diff_mean, 0.0, pc.diff_std_err) for ok, pc in zip(analytic, pcs)
-        ],
+        **_estimate_columns(ests, "diff"),
+        "pass": [ok and _not_below(est["diff"], 0.0) for ok, est in zip(analytic, ests)],
     }
     return columns, {"epsilon_slack": analysis.EPSILON_SLACK, "phi": phi, "r": r}
 
@@ -440,15 +442,14 @@ def _run_ratio(cfg, dist):
     rev_floors = [1.0 - ALPHA ** (k - 1) for k in cfg.k]
     columns = {
         "k": cfg.k,
-        "eff_ratio": [est.eff_ratio for est in ests],
+        "eff_ratio": [est["eff_ratio"].value for est in ests],
         "eff_floor": eff_floors,
-        "eff_std_err": [est.eff_ratio_std_err for est in ests],
-        "rev_ratio": [est.rev_ratio for est in ests],
+        "eff_std_err": [est["eff_ratio"].std_err for est in ests],
+        "rev_ratio": [est["rev_ratio"].value for est in ests],
         "rev_floor": rev_floors,
-        "rev_std_err": [est.rev_ratio_std_err for est in ests],
+        "rev_std_err": [est["rev_ratio"].std_err for est in ests],
         "pass": [
-            _not_below(est.eff_ratio, eff_floor, est.eff_ratio_std_err)
-            and _not_below(est.rev_ratio, rev_floor, est.rev_ratio_std_err)
+            _not_below(est["eff_ratio"], eff_floor) and _not_below(est["rev_ratio"], rev_floor)
             for est, eff_floor, rev_floor in zip(ests, eff_floors, rev_floors)
         ],
     }
@@ -457,14 +458,13 @@ def _run_ratio(cfg, dist):
 
 def _run_bk(cfg, dist):
     _single_item(cfg)
-    pcs = simulate.revenue_compare_bk(dist, cfg.k, cfg.n_trials, cfg.seed)
+    ests = simulate.revenue_compare_bk(dist, cfg.k, cfg.n_trials, cfg.seed)
     columns = {
         "k": cfg.k,
-        "diff_mean": [pc.diff_mean for pc in pcs],
-        "diff_std_err": [pc.diff_std_err for pc in pcs],
-        "rev_ema_mean": [pc.ema.mean for pc in pcs],
-        "rev_rma_mean": [pc.rma.mean for pc in pcs],
-        "pass": [_not_below(pc.diff_mean, 0.0, pc.diff_std_err) for pc in pcs],
+        **_estimate_columns(ests, "diff"),
+        "rev_ema_mean": [est["rev_ema"].value for est in ests],
+        "rev_rma_mean": [est["rev_rma"].value for est in ests],
+        "pass": [_not_below(est["diff"], 0.0) for est in ests],
     }
     return columns, {}
 
@@ -492,16 +492,14 @@ _EXPERIMENTS = {
         check=lambda columns: all(map(operator.le, columns["m_lower"], columns["m_upper"])),
     ),
     "thm1": _Experiment(
-        _paired_runner(
-            analysis.upper_bound_m, lambda pc: _not_below(pc.diff_mean, 0.0, pc.diff_std_err)
-        ),
+        _paired_runner(analysis.upper_bound_m, lambda diff: _not_below(diff, 0.0)),
         {"k": [1, 2, 5, 10]},
     ),
     # the strict shortfall is a claim about the extremal family
     "thm2": _Experiment(
         _paired_runner(
             analysis.lower_bound_m,
-            lambda pc: pc.diff_mean < 0.0 and abs(pc.diff_mean) > 3.0 * pc.diff_std_err,
+            lambda diff: diff.value < 0.0 and abs(diff.value) > 3.0 * diff.std_err,
         ),
         {"k": [3, 5, 8], "distribution": {"family": "g", "phi": ALPHA, "r": 1.0, "eps": 1e-6}},
     ),

@@ -4,12 +4,21 @@ Every estimate reads declared columns `(width, reserve, stat)`: the
 t-item second-price rule at `reserve` (0 for the efficiency-maximizing
 auction, the monopoly reserve for the reserve-price auction) on the first
 `width` values of a trial's draw, `stat` 0 for efficiency and 1 for
-revenue. An estimator declares one row of columns per comparison, and
-`_moment_scan` reduces each row to the first and second cross moments of
-its columns. A row's columns share each trial's draw, so EMA(k) against
-RMA(k+extra) sees the first k of the same k+extra values, and the
-difference estimator inherits the positive correlation of these common
-random numbers.
+revenue. An estimator declares one row of named columns per comparison,
+`{name: (width, reserve, stat)}`, and `_moment_scan` reduces each row to
+the first and second cross moments of its columns. A row's columns share
+each trial's draw, so EMA(k) against RMA(k+extra) sees the first k of the
+same k+extra values, and a difference inherits the positive correlation of
+these common random numbers.
+
+Each estimator returns one `{name: Estimate}` per row, named as the CSV
+columns are: `eff_ema`, `eff_rma`, `rev_ema` and `rev_rma` hold the
+columns' means. A row may also declare a difference or a ratio of two of
+its columns: `paired_compare`'s `diff` is eff_rma - eff_ema,
+`revenue_compare_bk`'s `diff` is rev_ema - rev_rma, and
+`efficiency_ratio`'s `eff_ratio` and `rev_ratio` are eff_rma/eff_ema and
+rev_ema/rev_rma, each ratio's `Estimate.value` with a delta-method
+standard error.
 
 Both mechanisms read one value stack per width: the t highest values,
 highest first, then the (t+1)-th, which only sets the price and is kept
@@ -85,47 +94,11 @@ if hasattr(os, "register_at_fork"):  # POSIX only; without fork nothing is inher
 
 @dataclass(frozen=True)
 class Estimate:
-    """Monte Carlo mean with its standard error."""
+    """A Monte Carlo estimate with its standard error: a column's mean, a
+    declared difference's mean or a declared ratio of two columns' means."""
 
-    mean: float
+    value: float
     std_err: float
-
-
-@dataclass(frozen=True)
-class MechanismEstimate:
-    """Efficiency and revenue estimates from one mechanism run."""
-
-    efficiency: Estimate
-    revenue: Estimate
-
-
-@dataclass(frozen=True)
-class PairedEstimate:
-    """Difference of two coupled estimates plus both marginals.
-
-    `ema` and `rma` hold the marginal of each mechanism; whether that is
-    efficiency or revenue, and which way the difference runs, is stated
-    by the function that returns the estimate.
-    """
-
-    diff_mean: float
-    diff_std_err: float
-    ema: Estimate
-    rma: Estimate
-
-
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Efficiency and revenue ratios of the two mechanisms at equal k.
-
-    eff_ratio = Eff(RMA(k))/Eff(EMA(k)); rev_ratio = Rev(EMA(k))/Rev(RMA(k)).
-    Standard errors are delta-method values using the coupled covariance.
-    """
-
-    eff_ratio: float
-    eff_ratio_std_err: float
-    rev_ratio: float
-    rev_ratio_std_err: float
 
 
 def _resolve_threads():
@@ -229,10 +202,34 @@ def _moment_scan(dist, t, rows, n_trials, seed):
     return moments
 
 
+def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
+    """One `{name: Estimate}` per row of named columns, in order.
+
+    Each row maps names to columns `(width, reserve, stat)`, all rows read
+    by one `_moment_scan`, and each name gets its column's mean. In every
+    row, each declared difference `(name, a, b)` adds the mean of column a
+    minus column b per trial, its standard error from the per-trial
+    differences, so the shared draws cancel; each declared ratio
+    `(name, a, b)` adds a's mean over b's.
+    """
+    moments = _moment_scan(dist, t, [tuple(row.values()) for row in rows], n_trials, seed)
+    results = []
+    for row, (s1, s2) in zip(rows, moments):
+        index = {name: i for i, name in enumerate(row)}
+        result = {name: _estimate(s1[i], s2[i, i], n_trials) for name, i in index.items()}
+        for name, a, b in diffs:
+            i, j = index[a], index[b]  # s2[i, j] is s2[j, i]: `stats.T @ stats` is symmetric
+            result[name] = _estimate(s1[i] - s1[j], s2[i, i] + s2[j, j] - 2.0 * s2[i, j], n_trials)
+        for name, a, b in ratios:
+            result[name] = _ratio(s1, s2, n_trials, index[a], index[b], name)
+        results.append(result)
+    return tuple(results)
+
+
 def _estimate(s1_i, s2_ii, n) -> Estimate:
     mean = s1_i / n
     var = (s2_ii - n * mean * mean) / (n - 1) if n > 1 else 0.0
-    return Estimate(mean=float(mean), std_err=math.sqrt(max(0.0, var) / n))
+    return Estimate(value=float(mean), std_err=math.sqrt(max(0.0, var) / n))
 
 
 def _cov(s1, s2, n, i, j) -> float:
@@ -241,16 +238,19 @@ def _cov(s1, s2, n, i, j) -> float:
     return float((s2[i, j] - s1[i] * s1[j] / n) / (n - 1))
 
 
-def _paired(s1, s2, n, a) -> PairedEstimate:
-    """Paired estimate of column a minus column 1-a; column 0 is EMA's, 1 RMA's."""
-    b = 1 - a
-    diff = _estimate(s1[a] - s1[b], s2[a, a] + s2[b, b] - 2.0 * s2[0, 1], n)
-    return PairedEstimate(
-        diff_mean=diff.mean,
-        diff_std_err=diff.std_err,
-        ema=_estimate(s1[0], s2[0, 0], n),
-        rma=_estimate(s1[1], s2[1, 1], n),
-    )
+def _ratio(s1, s2, n, num, den, name) -> Estimate:
+    """Column num's mean over column den's, with the delta-method standard
+    error from their coupled covariance. A zero numerator gives 0; a zero
+    denominator raises ValueError, since the ratio is then undefined."""
+    means = s1 / n
+    if means[den] == 0.0:
+        raise ValueError(f"{name} is undefined: its denominator's mean over {n} trials is 0")
+    ratio = means[num] / means[den]
+    v_num = _cov(s1, s2, n, num, num)
+    v_den = _cov(s1, s2, n, den, den)
+    c_nd = _cov(s1, s2, n, num, den)
+    var_ratio = (v_num + ratio * ratio * v_den - 2.0 * ratio * c_nd) / (means[den] * means[den] * n)
+    return Estimate(value=float(ratio), std_err=math.sqrt(max(0.0, var_ratio)))
 
 
 def _select(u, depth, quantile, widths):
@@ -341,20 +341,18 @@ def estimate_mechanism(
     mechanism: str,
     n_trials: int,
     seed: int,
-) -> MechanismEstimate:
-    """Mean efficiency and revenue of one mechanism over i.i.d. value draws."""
+) -> dict[str, Estimate]:
+    """Mean efficiency and revenue of one mechanism over i.i.d. value draws,
+    as `eff_<mechanism>` and `rev_<mechanism>`."""
     if n_bidders < 1 or t < 1:
         raise ValueError("n_bidders and t must be at least 1")
     mech = mechanism.lower()
     if mech not in _MECHANISMS:
         raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
     reserve = reserve_price(dist) if mech == "rma" else 0.0
-    row = ((n_bidders, reserve, 0), (n_bidders, reserve, 1))
-    [(s1, s2)] = _moment_scan(dist, t, [row], n_trials, seed)
-    return MechanismEstimate(
-        efficiency=_estimate(s1[0], s2[0, 0], n_trials),
-        revenue=_estimate(s1[1], s2[1, 1], n_trials),
-    )
+    row = {f"eff_{mech}": (n_bidders, reserve, 0), f"rev_{mech}": (n_bidders, reserve, 1)}
+    [result] = _estimates(dist, t, [row], n_trials, seed)
+    return result
 
 
 def paired_compare(
@@ -363,21 +361,18 @@ def paired_compare(
     t: int,
     n_trials: int,
     seed: int,
-) -> tuple[PairedEstimate, ...]:
+) -> tuple[dict[str, Estimate], ...]:
     """Couple EMA(t) on the first k draws with RMA(t) on all k+extra.
 
-    One estimate per (k, extra) pair, in order, all from one scan of the
-    draws. diff_mean estimates Eff(RMA(k+extra)) - Eff(EMA(k)) on common
-    draws; its standard error uses the per-trial differences directly, so
-    the shared randomness cancels instead of inflating the noise. `ema` and
-    `rma` hold the two efficiency marginals.
+    One row per (k, extra) pair, in order, all from one scan of the draws:
+    the efficiency marginals `eff_ema` and `eff_rma`, and `diff`, which
+    estimates Eff(RMA(k+extra)) - Eff(EMA(k)) on common draws.
     """
     if not pairs or t < 1 or any(k < 1 or extra < 0 for k, extra in pairs):
         raise ValueError("need k >= 1, extra >= 0, t >= 1")
     r = reserve_price(dist)
-    rows = [((k, 0.0, 0), (k + extra, r, 0)) for k, extra in pairs]
-    moments = _moment_scan(dist, t, rows, n_trials, seed)
-    return tuple(_paired(s1, s2, n_trials, a=1) for s1, s2 in moments)
+    rows = [{"eff_ema": (k, 0.0, 0), "eff_rma": (k + extra, r, 0)} for k, extra in pairs]
+    return _estimates(dist, t, rows, n_trials, seed, diffs=[("diff", "eff_rma", "eff_ema")])
 
 
 def revenue_compare_bk(
@@ -385,20 +380,20 @@ def revenue_compare_bk(
     ks: Sequence[int],
     n_trials: int,
     seed: int,
-) -> tuple[PairedEstimate, ...]:
-    """Paired estimate of Rev(EMA(k+1)) - Rev(RMA(k)) on common draws.
+) -> tuple[dict[str, Estimate], ...]:
+    """Rev(EMA(k+1)) against Rev(RMA(k)) on common draws.
 
-    One estimate per k, in order, all from one scan of the draws. One extra
-    bidder for the efficiency-maximizing auction is expected to recover at
-    least the reserve-price auction's revenue for regular value
-    distributions. `ema` and `rma` hold the two revenue marginals.
+    One row per k, in order, all from one scan of the draws: the revenue
+    marginals `rev_ema` (k+1 bidders) and `rev_rma` (k bidders), and
+    `diff` = rev_ema - rev_rma. One extra bidder for the
+    efficiency-maximizing auction is expected to recover at least the
+    reserve-price auction's revenue for regular value distributions.
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
-    rows = [((k + 1, 0.0, 1), (k, r, 1)) for k in ks]
-    moments = _moment_scan(dist, 1, rows, n_trials, seed)
-    return tuple(_paired(s1, s2, n_trials, a=0) for s1, s2 in moments)
+    rows = [{"rev_ema": (k + 1, 0.0, 1), "rev_rma": (k, r, 1)} for k in ks]
+    return _estimates(dist, 1, rows, n_trials, seed, diffs=[("diff", "rev_ema", "rev_rma")])
 
 
 def efficiency_ratio(
@@ -406,41 +401,22 @@ def efficiency_ratio(
     ks: Sequence[int],
     n_trials: int,
     seed: int,
-) -> tuple[RatioEstimate, ...]:
+) -> tuple[dict[str, Estimate], ...]:
     """Eff(RMA(k))/Eff(EMA(k)) and Rev(EMA(k))/Rev(RMA(k)) at equal k.
 
-    One estimate per k, in order, all from one scan of the draws. Both
-    mechanisms see the same k draws per trial. The efficiency ratio is at
-    least 1 - (1-1/e)^k for nondecreasing-hazard distributions; the revenue
-    ratio is at least 1 - (1-1/e)^(k-1).
+    One row per k, in order, all from one scan of the draws: the marginals
+    `eff_ema`, `eff_rma`, `rev_ema` and `rev_rma`, and `eff_ratio` =
+    eff_rma/eff_ema and `rev_ratio` = rev_ema/rev_rma. Both mechanisms see
+    the same k draws per trial. The efficiency ratio is at least
+    1 - (1-1/e)^k for nondecreasing-hazard distributions; the revenue ratio
+    is at least 1 - (1-1/e)^(k-1).
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("k must be at least 1")
     r = reserve_price(dist)
-    rows = [((k, 0.0, 0), (k, r, 0), (k, 0.0, 1), (k, r, 1)) for k in ks]
-    moments = _moment_scan(dist, 1, rows, n_trials, seed)
-    return tuple(_ratio(s1, s2, n_trials) for s1, s2 in moments)
-
-
-def _ratio(s1, s2, n) -> RatioEstimate:
-    """Ratio estimate from the moments of (eff EMA, eff RMA, rev EMA, rev RMA)."""
-    means = s1 / n
-
-    def ratio_with_err(num, den):
-        ratio = means[num] / means[den]
-        v_num = _cov(s1, s2, n, num, num)
-        v_den = _cov(s1, s2, n, den, den)
-        c_nd = _cov(s1, s2, n, num, den)
-        var_ratio = (v_num + ratio * ratio * v_den - 2.0 * ratio * c_nd) / (
-            means[den] * means[den] * n
-        )
-        return float(ratio), math.sqrt(max(0.0, var_ratio))
-
-    eff_ratio, eff_err = ratio_with_err(1, 0)
-    rev_ratio, rev_err = ratio_with_err(2, 3)
-    return RatioEstimate(
-        eff_ratio=eff_ratio,
-        eff_ratio_std_err=eff_err,
-        rev_ratio=rev_ratio,
-        rev_ratio_std_err=rev_err,
-    )
+    rows = [
+        {"eff_ema": (k, 0.0, 0), "eff_rma": (k, r, 0), "rev_ema": (k, 0.0, 1), "rev_rma": (k, r, 1)}
+        for k in ks
+    ]
+    ratios = [("eff_ratio", "eff_rma", "eff_ema"), ("rev_ratio", "rev_ema", "rev_rma")]
+    return _estimates(dist, 1, rows, n_trials, seed, ratios=ratios)

@@ -144,7 +144,7 @@ def test_criterion_06_upper_bound_empirical():
     ks = (1, 2, 5, 10)
     for dist in dists:
         for pc in paired_compare(dist, list(zip(ks, upper_bound_m(ks))), 1, 1_000_000, seed=SEED):
-            ok &= pc.diff_mean >= -3.0 * pc.diff_std_err
+            ok &= pc["diff"].value >= -3.0 * pc["diff"].std_err
     elapsed = time.time() - t0
     _report(6, "enough extras recover efficiency (3 families, 1e6 trials)", ok, elapsed)
     assert ok
@@ -156,7 +156,8 @@ def test_criterion_07_lower_bound_empirical():
     ok = True
     ks = (3, 5, 8)
     for pc in paired_compare(g, list(zip(ks, lower_bound_m(ks))), 1, 10_000_000, seed=SEED):
-        ok &= pc.diff_mean < 0.0 and abs(pc.diff_mean) > 3.0 * pc.diff_std_err
+        diff = pc["diff"]
+        ok &= diff.value < 0.0 and abs(diff.value) > 3.0 * diff.std_err
     elapsed = time.time() - t0
     _report(7, "too-few extras strictly lose (extremal family, 1e7 trials)", ok, elapsed)
     assert ok
@@ -177,7 +178,7 @@ def test_criterion_08_multi_item():
         for t in (2, 3):
             s = multi_item_s(t, m)
             (pc,) = paired_compare(dist, [(k, m + s)], t, 1_000_000, seed=SEED)
-            sim_ok &= pc.diff_mean >= -3.0 * pc.diff_std_err
+            sim_ok &= pc["diff"].value >= -3.0 * pc["diff"].std_err
     elapsed = time.time() - t0
     ok = analytic_ok and sim_ok
     _report(8, "multi-item binomial floor and simulation", ok, elapsed)
@@ -213,8 +214,9 @@ def test_criterion_10_ratio_claims():
     ok = True
     ks = (1, 2, 5, 10)
     for k, est in zip(ks, efficiency_ratio(Exponential(1.0), ks, 1_000_000, seed=SEED)):
-        ok &= est.eff_ratio >= 1.0 - ALPHA**k - 3.0 * est.eff_ratio_std_err
-        ok &= est.rev_ratio >= 1.0 - ALPHA ** (k - 1) - 3.0 * est.rev_ratio_std_err
+        eff, rev = est["eff_ratio"], est["rev_ratio"]
+        ok &= eff.value >= 1.0 - ALPHA**k - 3.0 * eff.std_err
+        ok &= rev.value >= 1.0 - ALPHA ** (k - 1) - 3.0 * rev.std_err
     elapsed = time.time() - t0
     _report(10, "equal-k efficiency and revenue ratios", ok, elapsed)
     assert ok
@@ -224,10 +226,10 @@ def test_criterion_11_one_extra_bidder_revenue():
     t0 = time.time()
     uniform = revenue_compare_bk(Uniform(hi=1.0), (1, 3, 5), 1_000_000, seed=SEED)
     exponential = revenue_compare_bk(Exponential(1.0), (1, 3, 5), 1_000_000, seed=SEED)
-    ok = all(pc.diff_mean >= -3.0 * pc.diff_std_err for pc in (*uniform, *exponential))
-    pc = uniform[0]  # k = 1
+    ok = all(pc["diff"].value >= -3.0 * pc["diff"].std_err for pc in (*uniform, *exponential))
+    diff = uniform[0]["diff"]  # k = 1
     # analytic values: E[min of 2] = 1/3 vs r(1-F(r)) = 1/4
-    ok &= abs(pc.diff_mean - 1.0 / 12.0) <= 4.0 * pc.diff_std_err
+    ok &= abs(diff.value - 1.0 / 12.0) <= 4.0 * diff.std_err
     elapsed = time.time() - t0
     _report(11, "one extra bidder recovers optimal revenue", ok, elapsed)
     assert ok

@@ -531,7 +531,28 @@ def test_every_experiments_summary_equals_indented_dumps(tmp_path, monkeypatch, 
     main([name, "--k", "1..2", "--n", "64", *small, "--out", str(tmp_path / name)])
     [(head, columns)] = seen
     want = indented_dumps(head, columns) + "\n"
-    assert (tmp_path / f"{name}.json").read_text(encoding="utf-8") == want
+    text = (tmp_path / f"{name}.json").read_text(encoding="utf-8")
+    assert text == want
+    json.loads(text, parse_constant=not_json)  # strict JSON: no NaN or Infinity
+
+
+def not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--k", "1..3", "--n", "1", "--seed", "0"],
+        ["--dist", "uniform:1", "--k", "1", "--n", "1", "--seed", "1"],
+    ],
+)
+def test_undefined_ratio_exits_2_without_reports(tmp_path, capsys, argv):
+    # the one trial's value is below the reserve, so Rev(RMA) averages 0 and
+    # rev_ratio has no value; warnings are errors here, so none may be raised
+    assert main(["ratio", *argv, "--out", str(tmp_path / "r")]) == 2
+    assert "rev_ratio" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # --- the CSV report ------------------------------------------------------------

@@ -60,32 +60,32 @@ def test_worker_count_independence(monkeypatch):
 
 def test_ema_mean_matches_order_statistics():
     # E[max of n] = n/(n+1) for uniform, H_n for exponential
-    est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 400_000, seed=11)
-    assert abs(est.efficiency.mean - 2.0 / 3.0) < 4.0 * est.efficiency.std_err
-    est = estimate_mechanism(Exponential(1.0), 3, 1, "ema", 400_000, seed=12)
-    assert abs(est.efficiency.mean - harmonic(3)) < 4.0 * est.efficiency.std_err
+    est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 400_000, seed=11)["eff_ema"]
+    assert abs(est.value - 2.0 / 3.0) < 4.0 * est.std_err
+    est = estimate_mechanism(Exponential(1.0), 3, 1, "ema", 400_000, seed=12)["eff_ema"]
+    assert abs(est.value - harmonic(3)) < 4.0 * est.std_err
 
 
 def test_ema_revenue_matches_second_order_statistic():
     # E[2nd of 2 uniforms] = 1/3
-    est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 400_000, seed=13)
-    assert abs(est.revenue.mean - 1.0 / 3.0) < 4.0 * est.revenue.std_err
+    est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 400_000, seed=13)["rev_ema"]
+    assert abs(est.value - 1.0 / 3.0) < 4.0 * est.std_err
 
 
 def test_rma_single_bidder_efficiency():
     # E[v; v >= 1] = 2/e for the unit exponential; below the EMA value 1
     est_r = estimate_mechanism(Exponential(1.0), 1, 1, "rma", 400_000, seed=14)
     est_e = estimate_mechanism(Exponential(1.0), 1, 1, "ema", 400_000, seed=14)
-    assert abs(est_r.efficiency.mean - 2.0 / math.e) < 4.0 * est_r.efficiency.std_err
-    assert est_r.efficiency.mean <= est_e.efficiency.mean
+    assert abs(est_r["eff_rma"].value - 2.0 / math.e) < 4.0 * est_r["eff_rma"].std_err
+    assert est_r["eff_rma"].value <= est_e["eff_ema"].value
     # the single bidder pays the reserve when clearing it: revenue = r(1-F(r)) = 1/e
-    assert abs(est_r.revenue.mean - 1.0 / math.e) < 4.0 * est_r.revenue.std_err
+    assert abs(est_r["rev_rma"].value - 1.0 / math.e) < 4.0 * est_r["rev_rma"].std_err
 
 
 def test_estimate_std_err_shrinks():
     small = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 10_000, seed=3)
     big = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 640_000, seed=3)
-    assert big.efficiency.std_err < small.efficiency.std_err / 4.0
+    assert big["eff_ema"].std_err < small["eff_ema"].std_err / 4.0
 
 
 def test_mechanism_name_validation():
@@ -97,7 +97,8 @@ def test_mechanism_name_validation():
 
 def test_estimate_fields():
     est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 1000, seed=21)
-    assert est.efficiency.std_err >= 0.0
+    assert est.keys() == {"eff_ema", "rev_ema"}
+    assert est["eff_ema"].std_err >= 0.0
 
 
 def test_seed_range_both_ends():
@@ -119,25 +120,36 @@ def test_declared_column_is_one_estimate_in_every_estimator(dist, t):
     # the same (width, reserve, stat) column, bit for bit, whichever estimator
     # declares it; two batches, the second short
     n, k = BATCH_TRIALS + 77, 4
-    alone = {mech: estimate_mechanism(dist, k, t, mech, n, seed=31) for mech in ("ema", "rma")}
+    alone = {}
+    for mech in ("ema", "rma"):
+        alone.update(estimate_mechanism(dist, k, t, mech, n, seed=31))
     (pc,) = paired_compare(dist, [(k, 0)], t, n, seed=31)
-    assert pc.ema == alone["ema"].efficiency
-    assert pc.rma == alone["rma"].efficiency
+    assert pc["eff_ema"] == alone["eff_ema"]
+    assert pc["eff_rma"] == alone["eff_rma"]
     (bk,) = revenue_compare_bk(dist, [k], n, seed=31)
-    assert bk.ema == estimate_mechanism(dist, k + 1, 1, "ema", n, seed=31).revenue
+    assert bk["rev_ema"] == estimate_mechanism(dist, k + 1, 1, "ema", n, seed=31)["rev_ema"]
+    if t == 1:  # the ratio's four marginals are the single mechanisms' columns
+        (ratio,) = efficiency_ratio(dist, [k], n, seed=31)
+        for name in ("eff_ema", "eff_rma", "rev_ema", "rev_rma"):
+            assert ratio[name] == alone[name]
 
 
 def test_paired_compare_nothing_excluded():
     # all mass above the reserve: both mechanisms sell to the same bidder
     g = GFamily(phi=0.0, r=1.0, eps=1e-6)
     (pc,) = paired_compare(g, [(4, 0)], 1, 50_000, seed=8)
-    assert pc.diff_mean == 0.0
-    assert pc.diff_std_err == 0.0
+    assert pc["diff"].value == 0.0
+    assert pc["diff"].std_err == 0.0
 
 
 def test_paired_estimate_orientation():
+    # each declared difference runs the way its name says, whichever estimator
     (pc,) = paired_compare(Exponential(1.0), [(2, 2)], 1, 50_000, seed=9)
-    assert pc.diff_mean == pytest.approx(pc.rma.mean - pc.ema.mean, rel=1e-12, abs=1e-15)
+    expected = pc["eff_rma"].value - pc["eff_ema"].value
+    assert pc["diff"].value == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    (bk,) = revenue_compare_bk(Exponential(1.0), [2], 50_000, seed=9)
+    expected = bk["rev_ema"].value - bk["rev_rma"].value
+    assert bk["diff"].value == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_paired_compare_insufficient_extras_strictly_worse():
@@ -145,15 +157,15 @@ def test_paired_compare_insufficient_extras_strictly_worse():
     g = GFamily(phi=ALPHA, r=1.0, eps=1e-6)
     k = 5
     (pc,) = paired_compare(g, [(k, lower_bound_m(k))], 1, 1_000_000, seed=101)
-    assert pc.diff_mean < 0.0
-    assert abs(pc.diff_mean) > 3.0 * pc.diff_std_err
+    assert pc["diff"].value < 0.0
+    assert abs(pc["diff"].value) > 3.0 * pc["diff"].std_err
 
 
 def test_paired_compare_sufficient_extras_recover():
     for dist in (Exponential(1.0), Uniform(hi=1.0)):
         k = 5
         (pc,) = paired_compare(dist, [(k, upper_bound_m(k))], 1, 200_000, seed=102)
-        assert pc.diff_mean >= -3.0 * pc.diff_std_err
+        assert pc["diff"].value >= -3.0 * pc["diff"].std_err
 
 
 def test_crn_reduces_difference_noise():
@@ -164,20 +176,20 @@ def test_crn_reduces_difference_noise():
         (GFamily(phi=ALPHA, r=1.0, eps=1e-6), 3, 1),
     ]:
         (pc,) = paired_compare(dist, [(k, extra)], 1, 100_000, seed=55)
-        assert pc.diff_std_err <= max(pc.ema.std_err, pc.rma.std_err)
+        assert pc["diff"].std_err <= max(pc["eff_ema"].std_err, pc["eff_rma"].std_err)
 
 
 def test_revenue_compare_bk_uniform_exact_values():
     # Rev(EMA(2)) = E[min of 2] = 1/3; Rev(RMA(1)) = 0.5*P(v >= 0.5) = 1/4
     (pc,) = revenue_compare_bk(Uniform(hi=1.0), [1], 500_000, seed=31)
-    assert abs(pc.ema.mean - 1.0 / 3.0) < 4.0 * pc.ema.std_err
-    assert abs(pc.rma.mean - 1.0 / 4.0) < 4.0 * pc.rma.std_err
-    assert abs(pc.diff_mean - 1.0 / 12.0) < 4.0 * pc.diff_std_err
+    assert abs(pc["rev_ema"].value - 1.0 / 3.0) < 4.0 * pc["rev_ema"].std_err
+    assert abs(pc["rev_rma"].value - 1.0 / 4.0) < 4.0 * pc["rev_rma"].std_err
+    assert abs(pc["diff"].value - 1.0 / 12.0) < 4.0 * pc["diff"].std_err
 
 
 def test_revenue_compare_bk_exponential_sign():
     (pc,) = revenue_compare_bk(Exponential(1.0), [3], 300_000, seed=32)
-    assert pc.diff_mean >= -3.0 * pc.diff_std_err
+    assert pc["diff"].value >= -3.0 * pc["diff"].std_err
 
 
 def test_revenue_compare_bk_deterministic():
@@ -188,22 +200,23 @@ def test_revenue_compare_bk_deterministic():
 
 def test_efficiency_ratio_exponential():
     (est,) = efficiency_ratio(Exponential(1.0), [1], 300_000, seed=41)
+    eff = est["eff_ratio"]
     # true efficiency ratio is (2/e)/1
-    assert abs(est.eff_ratio - 2.0 / math.e) < 4.0 * est.eff_ratio_std_err
-    assert est.eff_ratio >= 1.0 - ALPHA - 3.0 * est.eff_ratio_std_err
+    assert abs(eff.value - 2.0 / math.e) < 4.0 * eff.std_err
+    assert eff.value >= 1.0 - ALPHA - 3.0 * eff.std_err
     # a single bidder yields no second price: revenue ratio 0 vs floor 0
-    assert est.rev_ratio == 0.0
+    assert est["rev_ratio"].value == 0.0
 
 
 def test_efficiency_ratio_g_family():
     (est,) = efficiency_ratio(GFamily(phi=ALPHA, r=1.0, eps=1e-6), [3], 300_000, seed=42)
-    assert est.eff_ratio >= 1.0 - ALPHA**3 - 3.0 * est.eff_ratio_std_err
+    assert est["eff_ratio"].value >= 1.0 - ALPHA**3 - 3.0 * est["eff_ratio"].std_err
 
 
 def test_efficiency_ratio_large_k_approaches_one():
     (est,) = efficiency_ratio(Exponential(1.0), [30], 100_000, seed=43)
-    assert est.eff_ratio > 0.999
-    assert est.rev_ratio > 0.999
+    assert est["eff_ratio"].value > 0.999
+    assert est["rev_ratio"].value > 0.999
 
 
 def test_no_root_propagates():
@@ -220,7 +233,7 @@ def test_multi_item_paired_compare():
     k = 8
     m = upper_bound_m(k)
     (pc,) = paired_compare(Exponential(1.0), [(k, 2 * m)], 2, 200_000, seed=61)
-    assert pc.diff_mean >= -3.0 * pc.diff_std_err
+    assert pc["diff"].value >= -3.0 * pc["diff"].std_err
 
 
 @st.composite
@@ -436,15 +449,20 @@ def test_selection_without_runner_up_is_the_top_of_the_full_one(quantile, case):
 @pytest.mark.parametrize("t", [1, 2, 5])
 def test_efficiency_rows_equal_rows_that_read_revenue(dist, t):
     # paired_compare's rows read no revenue, so they select t registers; a
-    # revenue column appended after them forces t+1, and the two columns
-    # they share keep every bit, their sums and cross moments included.
+    # revenue column appended after them forces t+1, and every entry they
+    # share keeps every bit, the difference's cross moments included.
     # Two batches, the second short, with widths below, at and above t
     n, pairs = BATCH_TRIALS + 123, [(3, 1), (4, 5), (1, 0)]
     r = reserve_price(dist)
-    rows = [((k, 0.0, 0), (k + extra, r, 0), (k, 0.0, 1)) for k, extra in pairs]
-    read_revenue = simulate._moment_scan(dist, t, rows, n, seed=23)
-    expected = tuple(simulate._paired(s1, s2, n, a=1) for s1, s2 in read_revenue)
-    assert paired_compare(dist, pairs, t, n, seed=23) == expected
+    rows = [
+        {"eff_ema": (k, 0.0, 0), "eff_rma": (k + extra, r, 0), "rev_ema": (k, 0.0, 1)}
+        for k, extra in pairs
+    ]
+    diffs = [("diff", "eff_rma", "eff_ema")]
+    read_revenue = simulate._estimates(dist, t, rows, n, seed=23, diffs=diffs)
+    for got, wider in zip(paired_compare(dist, pairs, t, n, seed=23), read_revenue, strict=True):
+        assert got.keys() == {"eff_ema", "eff_rma", "diff"}
+        assert got == {name: wider[name] for name in got}
 
 
 @pytest.mark.parametrize("t", [1, 2, 5])
