@@ -18,7 +18,8 @@ its columns: `paired_compare`'s `diff` is eff_rma - eff_ema,
 `revenue_compare_bk`'s `diff` is rev_ema - rev_rma, and
 `efficiency_ratio`'s `eff_ratio` and `rev_ratio` are eff_rma/eff_ema and
 rev_ema/rev_rma, each ratio's `Estimate.value` with a delta-method
-standard error.
+standard error. A run takes at least two trials, since one trial gives no
+variance estimate, so every `std_err` is a sample estimate.
 
 Both mechanisms read one value stack per width: the t highest values,
 highest first, then the (t+1)-th, which only sets the price and is kept
@@ -155,14 +156,15 @@ def _moment_scan(dist, t, rows, n_trials, seed):
     revenue, and depth t otherwise. Returns one (sum vector, cross-product
     matrix) per row, in order, with the columns in their declared order. A
     row needs two or more columns: the column sums match `sum(axis=0)` bit
-    for bit only there.
+    for bit only there. A run needs two or more trials, the fewest that
+    give a variance estimate.
     """
     if any(len(row) < 2 for row in rows):
         raise ValueError("every row needs at least two columns")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be at least 1")
+    if n_trials < 2:
+        raise ValueError(f"n_trials must be at least 2 for a variance estimate, got {n_trials}")
     n_batches = -(-n_trials // BATCH_TRIALS)
     widest = max(width for row in rows for width, _, _ in row)
 
@@ -228,13 +230,11 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
 
 def _estimate(s1_i, s2_ii, n) -> Estimate:
     mean = s1_i / n
-    var = (s2_ii - n * mean * mean) / (n - 1) if n > 1 else 0.0
+    var = (s2_ii - n * mean * mean) / (n - 1)
     return Estimate(value=float(mean), std_err=math.sqrt(max(0.0, var) / n))
 
 
 def _cov(s1, s2, n, i, j) -> float:
-    if n < 2:
-        return 0.0
     return float((s2[i, j] - s1[i] * s1[j] / n) / (n - 1))
 
 

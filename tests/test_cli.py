@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mecheff import cli
+from mecheff import cli, simulate
 from mecheff.analysis import lower_bound_m, upper_bound_m
 from mecheff.cli import main, parse_dist_arg
 
@@ -47,7 +47,8 @@ def test_parse_dist_compact_forms():
     assert parse_dist_arg("exponential") == {"family": "exponential", "rate": 1.0}
     assert parse_dist_arg("uniform:2") == {"family": "uniform", "lo": 0.0, "hi": 2.0}
     assert parse_dist_arg("uniform") == {"family": "uniform", "lo": 0.0, "hi": 1.0}
-    for bad in ("cauchy:1", "exponential:x", "exponential:1:2", "p:0.1:1:5"):
+    # a colon always takes its numbers: none given is no default
+    for bad in ("cauchy:1", "exponential:x", "exponential:1:2", "p:0.1:1:5", "exponential:", "uniform:"):
         with pytest.raises(cli.ConfigError):
             parse_dist_arg(bad)
 
@@ -162,6 +163,41 @@ def test_ratio_and_bk_refuse_multiple_items(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3", "ratio", "bk"])
+def test_monte_carlo_experiments_need_two_trials(tmp_path, capsys, name):
+    # one trial gives no standard error, so no verdict; the floor is simulate's
+    for n in ("1", "0"):
+        assert main([name, "--k", "2", "--n", n, "--seed", "1", "--out", str(tmp_path / name)]) == 2
+        assert f"n_trials must be at least 2 for a variance estimate, got {n}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    assert main([name, "--k", "2", "--n", "2", "--seed", "1", "--out", str(tmp_path / name)]) in (0, 1)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.csv", f"{name}.json"]
+
+
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3"])
+def test_no_items_exits_2(tmp_path, name):
+    # t is checked by the estimator, or by thm3's multi_item_s, that reads it
+    assert main([name, "--k", "2", "--t", "0", "--n", "2", "--out", str(tmp_path / name)]) == 2
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "std_err, diff, thm1_passes",
+    [(0.125, -0.375, True), (0.125, -0.5, False), (0.0, -0.0, True), (0.0, -1e-300, False)],
+)
+def test_thm1_and_thm2_verdicts_are_complementary_at_3_sigma(monkeypatch, std_err, diff, thm1_passes):
+    # thm1 claims diff is not below 0 and thm2 that it is, both by `_not_below`;
+    # exactly -3 sigma is not below
+    est = simulate.Estimate(diff, std_err)
+
+    def paired_compare(dist, pairs, t, n_trials, seed):
+        return tuple({"diff": est, "eff_ema": est, "eff_rma": est} for _ in pairs)
+
+    monkeypatch.setattr(cli.simulate, "paired_compare", paired_compare)
+    assert main(["thm1", "--k", "1", "--n", "2"]) == (0 if thm1_passes else 1)
+    assert main(["thm2", "--k", "1", "--n", "2"]) == (1 if thm1_passes else 0)
+
+
 def test_seed_outside_64_bits_exits_2():
     for seed in ("-1", "18446744073709551616", "36893488147419103231"):
         assert main(["thm1", "--k", "2", "--n", "1000", "--seed", seed]) == 2
@@ -233,6 +269,7 @@ def test_config_file_and_flags_build_the_same_config(tmp_path):
     assert (from_flags.seed, from_flags.m) == (0, "1..3")
     assert from_flags.distribution == {"family": "g", "phi": 0.5, "r": 1.0}
     assert build([], same) == from_flags
+    assert build([], {**same, "experiment": None}) == from_flags  # null keeps the command's
     assert build(flags, other) == from_flags  # every flag, --seed 0 too, overrides the file
     assert build([], {"m": "5"}).m == 5
     assert build([], {"seed": None}).seed == build([]).seed  # null keeps the default
@@ -543,12 +580,12 @@ def not_json(token):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--k", "1..3", "--n", "1", "--seed", "0"],
-        ["--dist", "uniform:1", "--k", "1", "--n", "1", "--seed", "1"],
+        ["--k", "1..3", "--n", "2", "--seed", "0"],
+        ["--dist", "uniform:1", "--k", "1", "--n", "2", "--seed", "0"],
     ],
 )
 def test_undefined_ratio_exits_2_without_reports(tmp_path, capsys, argv):
-    # the one trial's value is below the reserve, so Rev(RMA) averages 0 and
+    # both trials' values are below the reserve, so Rev(RMA) averages 0 and
     # rev_ratio has no value; warnings are errors here, so none may be raised
     assert main(["ratio", *argv, "--out", str(tmp_path / "r")]) == 2
     assert "rev_ratio" in capsys.readouterr().err

@@ -42,10 +42,10 @@ def harmonic(n):
 
 
 def test_estimate_deterministic():
-    a = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 1, seed=5)
-    b = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 1, seed=5)
+    a = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 2, seed=5)
+    b = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 2, seed=5)
     assert a == b
-    c = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 1, seed=6)
+    c = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 2, seed=6)
     assert c != a
 
 
