@@ -199,7 +199,7 @@ def q_poly(x, k: int, m: int):
     if k < 1 or m < 1:
         raise ValueError("k and m must be at least 1")
     arr = np.asarray(x, dtype=np.float64)
-    if np.any((arr < 0.0) | (arr >= 1.0)):
+    if not np.all((arr >= 0.0) & (arr < 1.0)):  # NaN too
         raise DomainError("x must lie in [0, 1)")
     out = arr**k * (arr**m - _tail_series(arr, k))
     return float(out) if arr.ndim == 0 else out
@@ -263,7 +263,12 @@ def multi_gain_exact(phi: float, r: float, m: int, s: int, t_res: int) -> float:
     n = m + s
     shortfall = 0.0
     for j in range(t_res):
-        a_j = math.comb(n, j) * phi ** (n - j) * (1.0 - phi) ** j
+        try:
+            a_j = math.comb(n, j) * phi ** (n - j) * (1.0 - phi) ** j
+        except OverflowError:  # C(n, j) is past float range: weigh the term in logs
+            a_j = 0.0
+            if 0.0 < phi < 1.0:
+                a_j = math.exp(math.log(math.comb(n, j)) + (n - j) * math.log(phi) + j * math.log1p(-phi))
         shortfall += a_j * (t_res - j)
     return r * (t_res - shortfall)
 

@@ -538,9 +538,14 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     if cfg.output_path:
         # the prefix is taken literally: a dot in its last part is no suffix
         csv_path, json_path = Path(cfg.output_path + ".csv"), Path(cfg.output_path + ".json")
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text(csv_text, encoding="utf-8")
-        json_path.write_text(_summary_json(head, columns, int_columns) + "\n", encoding="utf-8")
+        json_text = _summary_json(head, columns, int_columns) + "\n"
+        try:
+            csv_path.parent.mkdir(parents=True, exist_ok=True)
+            csv_path.write_text(csv_text, encoding="utf-8")
+            json_path.write_text(json_text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write the reports: {exc}", file=sys.stderr)
+            return 2
         print(f"{cfg.experiment}: {'PASS' if passed else 'FAIL'} -> {csv_path}")
     else:
         if experiment.csv_to_stdout:

@@ -442,7 +442,7 @@ def from_spec(record: dict) -> ValueDistribution:
     if not isinstance(record, dict) or "family" not in record:
         raise ValueError("distribution record must be a dict with a 'family' tag")
     family = record["family"]
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:  # a list tag is unhashable
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(FAMILIES)}")
     # a null field is an absent one, so it takes the dataclass default
     params = {k: v for k, v in record.items() if k != "family" and v is not None}

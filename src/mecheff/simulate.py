@@ -5,11 +5,11 @@ t-item second-price rule at `reserve` (0 for the efficiency-maximizing
 auction, the monopoly reserve for the reserve-price auction) on the first
 `width` values of a trial's draw, `stat` 0 for efficiency and 1 for
 revenue. An estimator declares one row of named columns per comparison,
-`{name: (width, reserve, stat)}`, and `_moment_scan` reduces each row to
-the first and second cross moments of its columns. A row's columns share
-each trial's draw, so EMA(k) against RMA(k+extra) sees the first k of the
-same k+extra values, and a difference inherits the positive correlation of
-these common random numbers.
+`{name: (width, reserve, stat)}`, and `_estimates`, the one scan, reduces
+each row to the first and second cross moments of its columns. A row's
+columns share each trial's draw, so EMA(k) against RMA(k+extra) sees the
+first k of the same k+extra values, and a difference inherits the
+positive correlation of these common random numbers.
 
 Each estimator returns one `{name: Estimate}` per row, named as the CSV
 columns are: `eff_ema`, `eff_rma`, `rev_ema` and `rev_rma` hold the
@@ -18,8 +18,9 @@ its columns: `paired_compare`'s `diff` is eff_rma - eff_ema,
 `revenue_compare_bk`'s `diff` is rev_ema - rev_rma, and
 `efficiency_ratio`'s `eff_ratio` and `rev_ratio` are eff_rma/eff_ema and
 rev_ema/rev_rma, each ratio's `Estimate.value` with a delta-method
-standard error. A run takes at least two trials, since one trial gives no
-variance estimate, so every `std_err` is a sample estimate.
+standard error. `_estimates` checks each input where the scan reads it
+and refuses a run of one trial, so every `std_err` is a sample estimate;
+a front end checks only its own `extra` or mechanism name.
 
 Both mechanisms read one value stack per width: the t highest values,
 highest first, then the (t+1)-th, which only sets the price and is kept
@@ -143,30 +144,37 @@ def _batch_uniforms(seed: int, batch_index: int, size, out=None):
     return np.random.Generator(bitgen).random(size, out=out)
 
 
-def _moment_scan(dist, t, rows, n_trials, seed):
-    """First and second cross moments of each row's declared columns.
+def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
+    """One `{name: Estimate}` per row of named columns, in order: the scan.
 
-    Each row is a sequence of columns `(width, reserve, stat)`: the t-item
-    second-price rule at `reserve` on the first `width` values of the
-    trial's draw, `stat` 0 for efficiency and 1 for revenue. Each batch
-    draws its uniforms once, at the widest width of any row; each row
-    selects once, at its distinct widths, and prices each distinct
-    `(width, reserve)` once. A row's stacks have depth t+1, and so hold
-    the (t+1)-th value that sets the price, when one of its columns reads
-    revenue, and depth t otherwise. Returns one (sum vector, cross-product
-    matrix) per row, in order, with the columns in their declared order. A
-    row needs two or more columns: the column sums match `sum(axis=0)` bit
-    for bit only there. A run needs two or more trials, the fewest that
-    give a variance estimate.
+    Each row maps names to columns `(width, reserve, stat)`. A batch draws
+    once, at the widest width; each row selects once, at its distinct
+    widths, prices each distinct `(width, reserve)` once and reduces to
+    column sums and cross products, added into the first batch's in batch
+    order. Each name gets its column's mean; each declared difference
+    `(name, a, b)` the mean of a minus b per trial, its standard error from
+    the per-trial differences, so the shared draws cancel; each declared
+    ratio `(name, a, b)` a's mean over b's.
+
+    Every input is checked here, where the scan reads it: at least one
+    row, t >= 1, two or more columns per row (the einsum column sums match
+    `sum(axis=0)` bit for bit only there), every width >= 1, a seed in
+    [0, 2**64) and n_trials >= 2, the fewest that give a variance estimate.
     """
+    if not rows:
+        raise ValueError("need at least one row")
+    if t < 1:
+        raise ValueError(f"t must be at least 1, got {t}")
     if any(len(row) < 2 for row in rows):
         raise ValueError("every row needs at least two columns")
+    if any(width < 1 for row in rows for width, _, _ in row.values()):
+        raise ValueError("every width must be at least 1")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if n_trials < 2:
         raise ValueError(f"n_trials must be at least 2 for a variance estimate, got {n_trials}")
     n_batches = -(-n_trials // BATCH_TRIALS)
-    widest = max(width for row in rows for width, _, _ in row)
+    widest = max(width for row in rows for width, _, _ in row.values())
 
     def columns(flat, trials, row):
         # a frame of its own: the selections and the unused statistics are
@@ -185,38 +193,20 @@ def _moment_scan(dist, t, rows, n_trials, seed):
         flat = _batch_uniforms(seed, b, size, out=_workspace("draw", size))
         out = []
         for row in rows:
-            stats = np.column_stack(columns(flat, trials, row))
+            stats = np.column_stack(columns(flat, trials, row.values()))
             # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop
             out.append((np.einsum("ij->j", stats), stats.T @ stats))
         return out
 
     threads = _resolve_threads()
-    if threads == 1:
-        parts = [one(b) for b in range(n_batches)]
-    else:
-        parts = list(_pool(threads).map(one, range(n_batches)))
-
-    moments = [(s1.copy(), s2.copy()) for s1, s2 in parts[0]]
-    for part in parts[1:]:  # fixed batch order keeps the reduction deterministic
-        for (s1, s2), (p1, p2) in zip(moments, part):
+    parts = (map if threads == 1 else _pool(threads).map)(one, range(n_batches))
+    sums = next(parts)
+    for part in parts:  # fixed batch order keeps the reduction deterministic
+        for (s1, s2), (p1, p2) in zip(sums, part):
             s1 += p1
             s2 += p2
-    return moments
-
-
-def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
-    """One `{name: Estimate}` per row of named columns, in order.
-
-    Each row maps names to columns `(width, reserve, stat)`, all rows read
-    by one `_moment_scan`, and each name gets its column's mean. In every
-    row, each declared difference `(name, a, b)` adds the mean of column a
-    minus column b per trial, its standard error from the per-trial
-    differences, so the shared draws cancel; each declared ratio
-    `(name, a, b)` adds a's mean over b's.
-    """
-    moments = _moment_scan(dist, t, [tuple(row.values()) for row in rows], n_trials, seed)
     results = []
-    for row, (s1, s2) in zip(rows, moments):
+    for row, (s1, s2) in zip(rows, sums):
         index = {name: i for i, name in enumerate(row)}
         result = {name: _estimate(s1[i], s2[i, i], n_trials) for name, i in index.items()}
         for name, a, b in diffs:
@@ -344,8 +334,6 @@ def estimate_mechanism(
 ) -> dict[str, Estimate]:
     """Mean efficiency and revenue of one mechanism over i.i.d. value draws,
     as `eff_<mechanism>` and `rev_<mechanism>`."""
-    if n_bidders < 1 or t < 1:
-        raise ValueError("n_bidders and t must be at least 1")
     mech = mechanism.lower()
     if mech not in _MECHANISMS:
         raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
@@ -368,8 +356,8 @@ def paired_compare(
     the efficiency marginals `eff_ema` and `eff_rma`, and `diff`, which
     estimates Eff(RMA(k+extra)) - Eff(EMA(k)) on common draws.
     """
-    if not pairs or t < 1 or any(k < 1 or extra < 0 for k, extra in pairs):
-        raise ValueError("need k >= 1, extra >= 0, t >= 1")
+    if any(extra < 0 for _, extra in pairs):
+        raise ValueError("extra must be at least 0")
     r = reserve_price(dist)
     rows = [{"eff_ema": (k, 0.0, 0), "eff_rma": (k + extra, r, 0)} for k, extra in pairs]
     return _estimates(dist, t, rows, n_trials, seed, diffs=[("diff", "eff_rma", "eff_ema")])
@@ -389,8 +377,6 @@ def revenue_compare_bk(
     efficiency-maximizing auction is expected to recover at least the
     reserve-price auction's revenue for regular value distributions.
     """
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("k must be at least 1")
     r = reserve_price(dist)
     rows = [{"rev_ema": (k + 1, 0.0, 1), "rev_rma": (k, r, 1)} for k in ks]
     return _estimates(dist, 1, rows, n_trials, seed, diffs=[("diff", "rev_ema", "rev_rma")])
@@ -411,8 +397,6 @@ def efficiency_ratio(
     1 - (1-1/e)^k for nondecreasing-hazard distributions; the revenue ratio
     is at least 1 - (1-1/e)^(k-1).
     """
-    if not ks or any(k < 1 for k in ks):
-        raise ValueError("k must be at least 1")
     r = reserve_price(dist)
     rows = [
         {"eff_ema": (k, 0.0, 0), "eff_rma": (k, r, 0), "rev_ema": (k, 0.0, 1), "rev_rma": (k, r, 1)}

@@ -339,6 +339,9 @@ def test_q_domain():
         q_poly(1.0, 2, 2)
     with pytest.raises(DomainError):
         q_poly(-0.1, 2, 2)
+    for x in (float("nan"), np.array([0.5, np.nan])):
+        with pytest.raises(DomainError, match=r"x must lie in \[0, 1\)"):
+            q_poly(x, 1, 1)
 
 
 def test_q_refuses_a_series_it_would_truncate():
@@ -512,6 +515,19 @@ def test_multi_gain_floor_over_sufficient_m_grid():
         for t_res in range(1, 6):
             s = multi_item_s(t_res, m)
             assert multi_gain_exact(ALPHA, 1.0, m, s, t_res) >= t_res * (1.0 - ALPHA**m), (m, t_res)
+
+
+def test_multi_gain_past_float_binomials():
+    # C(m+s, j) passes float range before j reaches t_res: those terms are
+    # weighed in logs, and every term a float holds keeps its bits
+    got = multi_gain_exact(0.63, 1.0, 10, 3540, 1000)
+    assert 1000.0 * (1.0 - 0.63**10) <= got <= 1000.0
+    assert multi_gain_exact(0.63, 1.0, 10, 8, 2) == 1.996927339890284
+    assert multi_gain_exact(0.63, 1.0, 10, 1066, 300) == 299.9999999997092
+    # against the exact rational sum where the log-weighed terms carry the mass
+    n, t_res = 1100, 550
+    exact = t_res - sum(Fraction(math.comb(n, j) * (t_res - j), 2**n) for j in range(t_res))
+    assert multi_gain_exact(0.5, 1.0, 10, n - 10, t_res) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_multi_gain_domain():

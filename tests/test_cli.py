@@ -286,6 +286,26 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["thm2", "--config", str(cfg)]) == 2  # conflicting experiment
 
 
+def test_family_tag_not_a_string_exits_2(tmp_path, capsys):
+    record = {"family": ["g"]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"distribution": record}))
+    for argv in (["reserve", "--dist", json.dumps(record)], ["reserve", "--config", str(cfg)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "config error: unknown family ['g']; expected one of ['exponential', 'g', 'p', 'uniform']\n"
+        )
+
+
+def test_unwritable_reports_exit_2(tmp_path, capsys):
+    # the prefix's directory is a regular file, so mkdir fails
+    (tmp_path / "F").write_text("")
+    assert main(["bounds", "--k", "1..3", "--out", str(tmp_path / "F" / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the reports: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F"]
+
+
 @pytest.mark.parametrize(
     "experiment, record",
     [

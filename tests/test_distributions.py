@@ -606,6 +606,10 @@ def test_from_spec_rejects_garbage():
         from_spec({"family": "g", "phi": 0.5})
     with pytest.raises(ValueError):
         from_spec({"family": "g", "phi": [0.5], "r": 1.0})
+    # a tag that is no string is no family, not an unhashable key
+    for tag in (["g"], {"family": "g"}):
+        with pytest.raises(ValueError, match="unknown family"):
+            from_spec({"family": tag, "phi": 0.5, "r": 1.0})
     # a bool or a number's text is not a number (null, above, means absent)
     for value in (True, False, "2", "nan", {"v": 1}):
         with pytest.raises(ValueError):

@@ -95,6 +95,47 @@ def test_mechanism_name_validation():
         estimate_mechanism(Uniform(hi=1.0), 0, 1, "ema", 10, seed=0)
 
 
+# per front end, calls with t = 0, a width of 0 (k = 0) or no rows
+SCAN_REFUSALS = {
+    "estimate_mechanism": [
+        lambda u: estimate_mechanism(u, 2, 0, "ema", 10, seed=0),
+        lambda u: estimate_mechanism(u, 0, 1, "ema", 10, seed=0),
+    ],
+    "paired_compare": [
+        lambda u: paired_compare(u, [(2, 1)], 0, 10, seed=0),
+        lambda u: paired_compare(u, [(0, 1)], 1, 10, seed=0),
+        lambda u: paired_compare(u, [], 1, 10, seed=0),
+    ],
+    "revenue_compare_bk": [
+        lambda u: revenue_compare_bk(u, [0], 10, seed=0),
+        lambda u: revenue_compare_bk(u, [], 10, seed=0),
+    ],
+    "efficiency_ratio": [
+        lambda u: efficiency_ratio(u, [0], 10, seed=0),
+        lambda u: efficiency_ratio(u, [], 10, seed=0),
+    ],
+}
+
+
+@pytest.mark.parametrize("front_end", SCAN_REFUSALS)
+def test_scan_inputs_are_checked_by_the_scan(front_end):
+    # t, the widths and the row count are refused where the scan reads them
+    for call in SCAN_REFUSALS[front_end]:
+        with pytest.raises(ValueError) as excinfo:
+            call(Uniform(hi=1.0))
+        assert excinfo.traceback[-1].name == "_estimates"
+
+
+def test_front_ends_check_their_own_arguments():
+    for call, front_end in [
+        (lambda: paired_compare(Uniform(hi=1.0), [(5, -1)], 1, 10, seed=0), "paired_compare"),
+        (lambda: estimate_mechanism(Uniform(hi=1.0), 2, 1, "vcg", 10, seed=0), "estimate_mechanism"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert excinfo.traceback[-1].name == front_end
+
+
 def test_estimate_fields():
     est = estimate_mechanism(Uniform(hi=1.0), 2, 1, "ema", 1000, seed=21)
     assert est.keys() == {"eff_ema", "rev_ema"}
@@ -322,7 +363,7 @@ def test_second_price_without_runner_up_is_the_full_rules_efficiency(block):
 
 @pytest.mark.parametrize("c", range(2, 9))
 def test_column_sums_einsum_equal_sum(c):
-    # `_moment_scan` sums each batch's columns with einsum; from two columns
+    # `_estimates` sums each batch's columns with einsum; from two columns
     # on it adds in sum(axis=0)'s trial order, so the bits agree
     rng = np.random.default_rng(c)
     for n in (1, 2, 3, 7, 100, BATCH_TRIALS - 1, BATCH_TRIALS):
@@ -335,7 +376,7 @@ def test_column_sums_einsum_equal_sum(c):
 
 def test_one_column_row_is_refused():
     with pytest.raises(ValueError, match="two columns"):
-        simulate._moment_scan(Uniform(hi=1.0), 1, [((2, 0.0, 0),)], 10, seed=0)
+        simulate._estimates(Uniform(hi=1.0), 1, [{"eff_ema": (2, 0.0, 0)}], 10, seed=0)
 
 
 @st.composite
@@ -515,7 +556,7 @@ def dispatch_digest():
         r = reserve_price(dist)
         for n, t in ((12, 3), (40, 5), (40, 9)):
             u = _batch_uniforms(7, 0, (4096, n))
-            # row-major like every matrix `_moment_scan` passes
+            # row-major like every matrix `_estimates` passes
             permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
             stats = []
             for cols in (u, permuted):
