@@ -154,7 +154,7 @@ def loss_numeric(
         power = np.array([w**e for w, e in zip(weight.tolist(), exponents[idx].tolist())])
         if method == "cdf":
             return power
-        return xs * js[idx] * power * np.asarray(dist.pdf(nodes))[at] / phi
+        return xs * js[idx] * power * dist.pdf(nodes)[at] / phi
 
     tol = 1e-10 * max(1.0, r)
     areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=tol, breakpoints=breaks)

@@ -15,6 +15,7 @@ the extremal member of its class.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
@@ -38,22 +39,26 @@ def check_phi(phi: float, lo_open: bool = False) -> float:
     return min(phi, ALPHA)
 
 
-def _promote(x):
-    arr = np.asarray(x, dtype=np.float64)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _elementwise(method):
+    """`method(owner, x)` run on x as a float64 array of one or more
+    dimensions; for a scalar x, element 0 of its result as a plain float."""
 
+    @functools.wraps(method)
+    def evaluator(owner, x):
+        arr = np.asarray(x, dtype=np.float64)
+        return method(owner, arr) if arr.ndim else float(method(owner, arr[None])[0])
 
-def _demote(out, scalar):
-    return float(out[0]) if scalar else out
+    return evaluator
 
 
 class ValueDistribution(ABC):
     """A nonnegative value distribution known through its evaluators.
 
     Subclasses provide closed-form cdf/pdf/quantile; `hazard` defaults to
-    pdf/(1-cdf) but is overridden wherever a cleaner form exists. All
-    evaluators are vectorized over numpy arrays and return plain floats
-    for scalar input. Instances are immutable after construction.
+    pdf/(1-cdf) but is overridden wherever a cleaner form exists. The type
+    wraps each `cdf`, `pdf`, `hazard` and `quantile` a subclass defines:
+    the method gets a float64 array of one or more dimensions, and a scalar
+    call returns a plain float. Instances are immutable after construction.
 
     Contract: `quantile` is nondecreasing on [0, 1) in floating point, not
     only in exact arithmetic, so an order statistic of the uniforms maps to
@@ -62,10 +67,16 @@ class ValueDistribution(ABC):
     layout of its input. At u = 1 a family with bounded support returns
     the top of its support; inputs outside [0, 1] are outside the contract.
 
-    Contract: `cdf` and `pdf` act elementwise, bit for bit: `cdf(xs)[i]`
+    Contract: every evaluator acts elementwise, bit for bit: `cdf(xs)[i]`
     equals `cdf(xs[i])`, so a quadrature may evaluate a whole level of
     nodes in one call and get the floats of one call per node.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in ("cdf", "pdf", "hazard", "quantile"):
+            if name in cls.__dict__:
+                setattr(cls, name, _elementwise(cls.__dict__[name]))
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -89,14 +100,14 @@ class ValueDistribution(ABC):
     def quantile(self, u):
         ...
 
+    @_elementwise
     def hazard(self, x):
-        x, scalar = _promote(x)
-        surv = 1.0 - np.asarray(self.cdf(x))
-        dens = np.asarray(self.pdf(x))
+        surv = 1.0 - self.cdf(x)
+        dens = self.pdf(x)
         out = np.full_like(surv, np.inf)
         ok = surv > 0.0
         out[ok] = dens[ok] / surv[ok]
-        return _demote(out, scalar)
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,28 +126,22 @@ class Exponential(ValueDistribution):
         return 1.0 / self.rate
 
     def cdf(self, x):
-        x, scalar = _promote(x)
-        out = -np.expm1(-self.rate * np.maximum(x, 0.0))
-        return _demote(out, scalar)
+        return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
     def pdf(self, x):
-        x, scalar = _promote(x)
-        out = np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
-        return _demote(out, scalar)
+        return np.where(x >= 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)), 0.0)
 
     def hazard(self, x):
-        x, scalar = _promote(x)
-        return _demote(np.full(x.shape, self.rate), scalar)
+        return np.full(x.shape, self.rate)
 
     def quantile(self, u):
         # -log1p(-u) / rate, one operation at a time in one buffer: the same
         # bits without the three temporaries
-        u, scalar = _promote(u)
         out = np.negative(u)
         np.log1p(out, out=out)
         np.negative(out, out=out)
         out /= self.rate
-        return _demote(out, scalar)
+        return out
 
 
 @dataclass(frozen=True)
@@ -158,24 +163,19 @@ class Uniform(ValueDistribution):
         return 0.5 * self.hi
 
     def cdf(self, x):
-        x, scalar = _promote(x)
-        return _demote(np.clip(x / self.hi, 0.0, 1.0), scalar)
+        return np.clip(x / self.hi, 0.0, 1.0)
 
     def pdf(self, x):
-        x, scalar = _promote(x)
-        out = np.where((x >= 0.0) & (x < self.hi), 1.0 / self.hi, 0.0)
-        return _demote(out, scalar)
+        return np.where((x >= 0.0) & (x < self.hi), 1.0 / self.hi, 0.0)
 
     def hazard(self, x):
-        x, scalar = _promote(x)
         out = np.full(x.shape, np.inf)
         inside = x < self.hi
         out[inside] = 1.0 / (self.hi - x[inside])
-        return _demote(out, scalar)
+        return out
 
     def quantile(self, u):
-        u, scalar = _promote(u)
-        return _demote(u * self.hi, scalar)
+        return u * self.hi
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,6 @@ class GFamily(ValueDistribution):
         return self.r
 
     def cdf(self, x):
-        x, scalar = _promote(x)
         t, r, eps, phi = self.t_knot, self.r, self.eps, self.phi
         out = np.zeros(x.shape)
         mid = (x >= t) & (x < r)
@@ -227,32 +226,29 @@ class GFamily(ValueDistribution):
         slab = (x >= r) & (x < r + eps)
         out[slab] = phi + (1.0 - phi) * (x[slab] - r) / eps
         out[x >= r + eps] = 1.0
-        return _demote(out, scalar)
+        return out
 
     def pdf(self, x):
         # the constant-hazard regime owns its right endpoint r, so the
         # hazard there is 1/r and the stored reserve satisfies x*h(x) = 1
-        x, scalar = _promote(x)
         t, r, eps, phi = self.t_knot, self.r, self.eps, self.phi
         out = np.zeros(x.shape)
         mid = (x >= t) & (x <= r)
         out[mid] = np.exp(-(x[mid] - t) / r) / r
         slab = (x > r) & (x < r + eps)
         out[slab] = (1.0 - phi) / eps
-        return _demote(out, scalar)
+        return out
 
     def hazard(self, x):
-        x, scalar = _promote(x)
         t, r, eps = self.t_knot, self.r, self.eps
         out = np.zeros(x.shape)
         out[(x >= t) & (x <= r)] = 1.0 / r
         slab = (x > r) & (x < r + eps)
         out[slab] = 1.0 / (eps - (x[slab] - r))
         out[x >= r + eps] = np.inf
-        return _demote(out, scalar)
+        return out
 
     def quantile(self, u):
-        u, scalar = _promote(u)
         t, r, eps, phi = self.t_knot, self.r, self.eps, self.phi
         low = u <= phi
         # Both branches run over every element, each in its own operation
@@ -274,7 +270,7 @@ class GFamily(ValueDistribution):
         high += r
         high *= ~low
         out += high
-        return _demote(out, scalar)
+        return out
 
 
 @dataclass(frozen=True)
@@ -305,34 +301,30 @@ class PFamily(ValueDistribution):
         return self.r
 
     def cdf(self, x):
-        x, scalar = _promote(x)
         out = np.ones(x.shape)
         below = (x >= 0.0) & (x < self.r)
         out[below] = x[below] / (x[below] + self.eps)
         out[x < 0.0] = 0.0
-        return _demote(out, scalar)
+        return out
 
     def pdf(self, x):
-        x, scalar = _promote(x)
         out = np.zeros(x.shape)
         below = (x >= 0.0) & (x < self.r)
         out[below] = self.eps / (x[below] + self.eps) ** 2
-        return _demote(out, scalar)
+        return out
 
     def hazard(self, x):
-        x, scalar = _promote(x)
         out = np.full(x.shape, np.inf)
         below = x < self.r
         out[below] = 1.0 / (x[below] + self.eps)
-        return _demote(out, scalar)
+        return out
 
     def quantile(self, u):
-        u, scalar = _promote(u)
         out = np.full(u.shape, self.r)
         below = u < self.r / (self.r + self.eps)
         # capped at r: rounding may put the last u below the atom an ulp above it
         out[below] = np.minimum(self.eps * u[below] / (1.0 - u[below]), self.r)
-        return _demote(out, scalar)
+        return out
 
 
 @dataclass(frozen=True)
@@ -356,21 +348,26 @@ def reserve_price(dist: ValueDistribution) -> float:
         return float(dist.exact_reserve)
 
     def excess(x):
-        return x * float(dist.hazard(x)) - 1.0
+        return x * dist.hazard(x) - 1.0
 
-    start = float(dist.quantile(0.5))
+    start = dist.quantile(0.5)
     # Unbounded supports are truncated where 1-F underflows any tolerance.
-    hi_cap = float(dist.quantile(1.0 - 1e-12))
+    hi_cap = dist.quantile(1.0 - 1e-12)
     lo, hi = bracket_root(excess, start, hi_cap)
     return bisect(excess, lo, hi)
 
 
+def _at_atom(x, loc):
+    """Whether x (a float or an array) lies within 1e-12 * |loc| of an atom at loc."""
+    return abs(x - loc) <= 1e-12 * abs(loc)
+
+
 def cdf_left(dist: ValueDistribution, x: float) -> float:
     """F(x-) = P(value < x): cdf(x) minus any atom located at x."""
-    mass_at_x = sum(m for loc, m in dist.atoms if abs(loc - x) <= 1e-12 * max(1.0, x))
-    return float(dist.cdf(x)) - mass_at_x
+    return dist.cdf(x) - sum(m for loc, m in dist.atoms if _at_atom(x, loc))
 
 
+@_elementwise
 def virtual_value(dist: ValueDistribution, x):
     """Value adjusted by inverse hazard: x - 1/hazard(x).
 
@@ -378,13 +375,18 @@ def virtual_value(dist: ValueDistribution, x):
     vanishes (the virtual value is -inf there; callers treat such values
     as below any reserve).
     """
-    xa, scalar = _promote(x)
-    h = np.asarray(_promote(dist.hazard(xa))[0])
+    h = dist.hazard(x)
     if np.any(h <= 0.0):
         raise DomainError("hazard is zero; virtual value is -inf")
     with np.errstate(divide="ignore"):
-        out = xa - 1.0 / h
-    return _demote(out, scalar)
+        return x - 1.0 / h
+
+
+def _check_grid(grid_size) -> int:
+    """A grid size as an int; ValueError unless an integer of at least 16."""
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 16:
+        raise ValueError(f"grid_size must be an integer of at least 16, got {grid_size!r}")
+    return int(grid_size)
 
 
 def mhr_check(dist: ValueDistribution, grid_size: int = 256) -> MhrReport:
@@ -393,15 +395,14 @@ def mhr_check(dist: ValueDistribution, grid_size: int = 256) -> MhrReport:
     Grid-based rather than symbolic so user-defined distributions, where
     only evaluators exist, can be checked too.
     """
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+    grid_size = _check_grid(grid_size)
     u = (np.arange(grid_size) + 0.5) / grid_size
-    x = np.asarray(dist.quantile(u))
-    keep = 1.0 - np.asarray(dist.cdf(x)) > 1e-12
+    x = dist.quantile(u)
+    keep = 1.0 - dist.cdf(x) > 1e-12
     for loc, _mass in dist.atoms:
-        keep &= np.abs(x - loc) > 1e-12 * max(1.0, abs(loc))
+        keep &= ~_at_atom(x, loc)
     x = np.unique(x[keep])
-    h = np.asarray(dist.hazard(x))
+    h = dist.hazard(x)
     finite = np.isfinite(h)
     x, h = x[finite], h[finite]
     drops = np.nonzero(h[1:] < h[:-1] * (1.0 - 1e-9))[0]
@@ -413,7 +414,7 @@ def mhr_check(dist: ValueDistribution, grid_size: int = 256) -> MhrReport:
 
 def lemma1_check(dist: ValueDistribution) -> bool:
     """cdf at the reserve never exceeds 1 - 1/e for nondecreasing hazards."""
-    return bool(float(dist.cdf(reserve_price(dist))) <= ALPHA + 1e-9)
+    return dist.cdf(reserve_price(dist)) <= ALPHA + 1e-9
 
 
 def domination_check(dist: ValueDistribution, grid_size: int = 256) -> bool:
@@ -423,11 +424,12 @@ def domination_check(dist: ValueDistribution, grid_size: int = 256) -> bool:
     verifies cdf_dist(y) >= cdf_G(y) - 1e-9 on a grid over [0, r]. Holds
     for every nondecreasing-hazard distribution.
     """
+    grid_size = _check_grid(grid_size)
     r = reserve_price(dist)
-    phi = float(dist.cdf(r))
+    phi = dist.cdf(r)
     extremal = GFamily(phi=min(phi, ALPHA), r=r)
     y = np.linspace(0.0, r, grid_size)
-    return bool(np.all(np.asarray(dist.cdf(y)) >= np.asarray(extremal.cdf(y)) - 1e-9))
+    return bool(np.all(dist.cdf(y) >= extremal.cdf(y) - 1e-9))
 
 
 # The record format: {"family": tag, **fields of the family's dataclass}.

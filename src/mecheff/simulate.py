@@ -160,6 +160,10 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
     row, t >= 1, two or more columns per row (the einsum column sums match
     `sum(axis=0)` bit for bit only there), every width >= 1, a seed in
     [0, 2**64) and n_trials >= 2, the fewest that give a variance estimate.
+    So is the value scale: a column or difference with a nonzero sum needs
+    a finite mean square of at least the smallest normal float, and a ratio
+    a finite variance, or the squares lost their bits and a standard error
+    would read 0.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -194,8 +198,10 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
         out = []
         for row in rows:
             stats = np.column_stack(columns(flat, trials, row.values()))
-            # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop
-            out.append((np.einsum("ij->j", stats), stats.T @ stats))
+            # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop;
+            # a square past float64's range is refused by name in `_estimate`
+            with np.errstate(over="ignore"):
+                out.append((np.einsum("ij->j", stats), stats.T @ stats))
         return out
 
     threads = _resolve_threads()
@@ -208,20 +214,23 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
     results = []
     for row, (s1, s2) in zip(rows, sums):
         index = {name: i for i, name in enumerate(row)}
-        result = {name: _estimate(s1[i], s2[i, i], n_trials) for name, i in index.items()}
+        result = {name: _estimate(s1[i], s2[i, i], n_trials, name) for name, i in index.items()}
         for name, a, b in diffs:
             i, j = index[a], index[b]  # s2[i, j] is s2[j, i]: `stats.T @ stats` is symmetric
-            result[name] = _estimate(s1[i] - s1[j], s2[i, i] + s2[j, j] - 2.0 * s2[i, j], n_trials)
+            result[name] = _estimate(s1[i] - s1[j], s2[i, i] + s2[j, j] - 2.0 * s2[i, j], n_trials, name)
         for name, a, b in ratios:
             result[name] = _ratio(s1, s2, n_trials, index[a], index[b], name)
         results.append(result)
     return tuple(results)
 
 
-def _estimate(s1_i, s2_ii, n) -> Estimate:
-    mean = s1_i / n
-    var = (s2_ii - n * mean * mean) / (n - 1)
-    return Estimate(value=float(mean), std_err=math.sqrt(max(0.0, var) / n))
+def _estimate(s1_i, s2_ii, n, name) -> Estimate:
+    # Python floats: a square past float64's range reads inf or nan, no warning
+    mean, square = float(s1_i) / n, float(s2_ii) / n
+    var = (float(s2_ii) - n * mean * mean) / (n - 1)
+    if not math.isfinite(var) or (s1_i != 0.0 and square < np.finfo(float).smallest_normal):
+        raise ValueError(f"{name}'s mean square {square:.3g} is past float64's normal range; rescale")
+    return Estimate(value=mean, std_err=math.sqrt(max(0.0, var) / n))
 
 
 def _cov(s1, s2, n, i, j) -> float:
@@ -240,6 +249,8 @@ def _ratio(s1, s2, n, num, den, name) -> Estimate:
     v_den = _cov(s1, s2, n, den, den)
     c_nd = _cov(s1, s2, n, num, den)
     var_ratio = (v_num + ratio * ratio * v_den - 2.0 * ratio * c_nd) / (means[den] * means[den] * n)
+    if not math.isfinite(var_ratio):
+        raise ValueError(f"{name}'s variance {var_ratio} is not finite in float64; rescale")
     return Estimate(value=float(ratio), std_err=math.sqrt(max(0.0, var_ratio)))
 
 
@@ -280,7 +291,7 @@ def _select(u, depth, quantile, widths):
         else:  # fewer columns seen than registers: x is the lowest so far
             regs.append(x)
         if j in widths:
-            stacks[j] = np.asarray(quantile(np.stack(regs)))
+            stacks[j] = quantile(np.stack(regs))
     return stacks
 
 

@@ -181,6 +181,17 @@ def test_no_items_exits_2(tmp_path, name):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("name", ["thm1", "thm2", "thm3", "ratio", "bk"])
+@pytest.mark.parametrize("rate", ["1e200", "1e-200"])
+def test_values_past_float64_range_exit_2(tmp_path, capsys, name, rate):
+    # values near 1e-200 square to 0 and near 1e200 to inf: either way every
+    # std_err read 0 and the 3-sigma test became a point comparison
+    out = str(tmp_path / name)
+    assert main([name, "--dist", f"exponential:{rate}", "--k", "2", "--n", "1000", "--out", out]) == 2
+    assert "past float64's normal range" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "std_err, diff, thm1_passes",
     [(0.125, -0.375, True), (0.125, -0.5, False), (0.0, -0.0, True), (0.0, -1e-300, False)],

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -78,6 +79,25 @@ class AtomAtZero(ValueDistribution):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return -np.log1p(-np.maximum(u - 0.6, 0.0) / 0.4)
+
+
+@dataclass(frozen=True)
+class BareWeibull(ValueDistribution):
+    """Weibull of shape 3 in array code with no scalar handling at all: on a
+    numpy scalar, `x ** 3.0` would call libm pow and differ from the array
+    power in the last bit, so only the type's promotion keeps it elementwise."""
+
+    shape: float = 3.0
+
+    def cdf(self, x):
+        return -np.expm1(-(np.maximum(x, 0.0) ** self.shape))
+
+    def pdf(self, x):
+        x = np.maximum(x, 0.0)
+        return self.shape * x ** (self.shape - 1.0) * np.exp(-(x**self.shape))
+
+    def quantile(self, u):
+        return (-np.log1p(-u)) ** (1.0 / self.shape)
 
 
 class SubUnitHazard(ValueDistribution):
@@ -201,6 +221,29 @@ def test_mhr_check_is_scale_free(scale):
 def test_mhr_check_grid_too_small():
     with pytest.raises(ValueError):
         mhr_check(Exponential(1.0), 8)
+
+
+@pytest.mark.parametrize("grid", [0, 15, 16.5, 256.0, "256", None])
+def test_grid_checks_refuse_bad_grids(grid):
+    # 0 or 1 points checked nothing, or only y = 0, and 16.5 was recorded as is
+    for check in (mhr_check, domination_check):
+        with pytest.raises(ValueError, match="grid_size must be an integer of at least 16"):
+            check(Exponential(1.0), grid)
+    report = mhr_check(Exponential(1.0), np.int64(16))
+    assert report.is_mhr and type(report.grid_size) is int and report.grid_size == 16
+    assert domination_check(Exponential(1.0), np.int64(16))
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e13])
+def test_atom_match_is_scale_free(scale):
+    # an atom matches within 1e-12 of its location relative to it: the old
+    # absolute 1e-12 below 1 took every grid point of PFamily(1e-15, 1e-13)
+    # for the atom, so mhr_check called it MHR, and F(5e-13-) read 0.990
+    unit, p = PFamily(eps=0.01, r=1.0), PFamily(eps=0.01 * scale, r=scale)
+    assert not mhr_check(p).is_mhr and not mhr_check(unit).is_mhr
+    for x in (0.5, 1.0, 5.0):
+        assert cdf_left(p, x * scale) == pytest.approx(cdf_left(unit, x), rel=1e-12), x
+    assert cdf_left(p, 5.0 * scale) == 1.0
 
 
 def test_mhr_witness_absent_when_true():
@@ -386,21 +429,17 @@ ELEMENTWISE_CASES = [
     GFamily(phi=0.3, r=1e-3, eps=1e-9),
     PFamily(eps=0.5, r=1.0),
     PFamily(eps=1e-6, r=1e-3),
-    pytest.param(
-        "weibull",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="the benchmark's Weibull squares a scalar with numpy's scalar power, which "
-            "calls libm pow, and an array with an exact multiply: they differ in the last bit",
-        ),
-    ),
+    "weibull",
+    BareWeibull(),
 ]
 
 
 @pytest.mark.parametrize("dist", ELEMENTWISE_CASES, ids=repr)
 def test_cdf_and_pdf_act_elementwise(dist):
     # `analysis.loss_numeric` evaluates each quadrature level's nodes in one
-    # array call and must get the bits of one scalar call per node
+    # array call and must get the bits of one scalar call per node. The type
+    # promotes every subclass's scalar input, so hazard and quantile, the
+    # benchmark's Weibull and a class with no scalar code of its own obey too.
     if dist == "weibull":
         dist = load("workloads").Weibull()
     r = reserve_price(dist)
@@ -415,10 +454,11 @@ def test_cdf_and_pdf_act_elementwise(dist):
         [special, np.nextafter(special, -np.inf), np.nextafter(special, np.inf), np.linspace(0.0, r, 2500)]
     )
     xs = np.concatenate([xs, r * rng.random(5000 - len(xs))])
-    for method in (dist.cdf, dist.pdf):
-        one_call = np.asarray(method(xs), dtype=np.float64)
-        per_point = np.array([float(method(float(x))) for x in xs])
-        assert one_call.tobytes() == per_point.tobytes(), method
+    us = quantile_points(dist, rng, 2000)  # u = 0 and the ulps around the branch points
+    for method, points in ((dist.cdf, xs), (dist.pdf, xs), (dist.hazard, xs), (dist.quantile, us)):
+        per_point = [method(float(p)) for p in points]
+        assert all(type(v) is float for v in per_point), method
+        assert method(points).tobytes() == np.array(per_point).tobytes(), method
 
 
 def g_quantile_masked(dist, u):

@@ -379,6 +379,19 @@ def test_one_column_row_is_refused():
         simulate._estimates(Uniform(hi=1.0), 1, [{"eff_ema": (2, 0.0, 0)}], 10, seed=0)
 
 
+def test_squares_past_float64_normal_range_are_refused():
+    # an all-zero column keeps its exact 0 standard error; any other column
+    # needs a finite mean square of at least the smallest normal float, else
+    # its squares lost their bits and its standard error would read 0
+    [row] = efficiency_ratio(Exponential(1.0), [1], 1000, 0)
+    assert row["rev_ema"] == simulate.Estimate(0.0, 0.0) and row["rev_ratio"].value == 0.0
+    [row] = paired_compare(Exponential(1e150), [(2, 5)], 1, 1000, 0)
+    assert all(est.std_err > 0.0 for est in row.values())
+    for rate, square in ((1e155, r"\S+e-310"), (1e200, "0"), (1e-200, "inf")):
+        with pytest.raises(ValueError, match=f"eff_ema's mean square {square} is past float64's normal"):
+            paired_compare(Exponential(rate), [(2, 5)], 1, 1000, 0)
+
+
 @st.composite
 def uniforms_near_branches(draw):
     """(dist, u, t): a distribution of any family in FAMILIES and a uniform
