@@ -1,6 +1,6 @@
 """Closed-form gain/loss calculus for reserve-price auctions.
 
-Fix a value distribution with reserve r and phi = cdf(r). When all k
+Fix a value distribution with reserve r and phi = F(r-). When all k
 original bidders fall below the reserve, the efficiency-optimal auction
 still earns the best of their values while the reserve-price auction earns
 nothing from them; the conditional expectation of that shortfall is `loss`.
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import ALPHA, GFamily, ValueDistribution, cdf_left, check_phi, reserve_price
+from .distributions import ALPHA, ValueDistribution, check_phi
 from .errors import DegenerateConditioning, DomainError, SearchExhausted
 from .numerics import adaptive_simpson, simpson_sweep
 
@@ -112,7 +112,7 @@ def loss_numeric(
     Evaluated by adaptive quadrature of the conditioned order-statistic
     integral; `method="cdf"` integrates r - int_0^r (F/F(r))^k dx (needs
     only the cdf), `method="density"` integrates x d(F/F(r))^k directly.
-    Known kinks and atom locations are passed to the quadrature as
+    The distribution's `kinks` are passed to the quadrature as
     breakpoints. The conditioning probability appears inside the integrand
     so the quadrature tolerance, 1e-10 * max(1, r), carries over to the
     conditional value; it grows with r because an integral of size r
@@ -136,13 +136,9 @@ def loss_numeric(
         raise ValueError("k must be at least 1")
     if method not in ("cdf", "density"):
         raise ValueError(f"method must be 'cdf' or 'density', got {method!r}")
-    r = reserve_price(dist)
-    phi = cdf_left(dist, r)
+    r, phi = dist.reserve, dist.phi
     if phi < 1e-12:
-        raise DegenerateConditioning(f"cdf({r}) = {phi}; no mass below the reserve")
-    breaks = [loc for loc, _ in dist.atoms if 0.0 < loc < r]
-    if isinstance(dist, GFamily):
-        breaks.append(dist.t_knot)
+        raise DegenerateConditioning(f"F({r}-) = {phi}; no mass below the reserve")
     js = np.array(ks)
     exponents = js - 1 if method == "density" else js
 
@@ -157,7 +153,7 @@ def loss_numeric(
         return xs * js[idx] * power * dist.pdf(nodes)[at] / phi
 
     tol = 1e-10 * max(1.0, r)
-    areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=tol, breakpoints=breaks)
+    areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=tol, breakpoints=dist.kinks)
     losses = tuple(r - a for a in areas) if method == "cdf" else areas
     return losses[0] if scalar else losses
 

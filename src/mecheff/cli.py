@@ -32,16 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, simulate
-from .distributions import (
-    ALPHA,
-    FAMILIES,
-    PFamily,
-    cdf_left,
-    from_spec,
-    mhr_check,
-    reserve_price,
-    virtual_value,
-)
+from .distributions import ALPHA, FAMILIES, PFamily, from_spec, mhr_check, virtual_value
 from .errors import DegenerateConditioning, MechEffError
 
 _DEFAULT_DIST = {"family": "exponential", "rate": 1.0}
@@ -315,14 +306,13 @@ def _estimate_columns(ests, *names):
 
 
 def _run_reserve(cfg, dist):
-    r = reserve_price(dist)
-    print(repr(float(r)))
-    return {"dist": [json.dumps(cfg.distribution, sort_keys=True)], "reserve": [float(r)]}, {}
+    r = dist.reserve
+    print(repr(r))
+    return {"dist": [json.dumps(cfg.distribution, sort_keys=True)], "reserve": [r]}, {}
 
 
 def _run_gainloss(cfg, dist):
-    r = reserve_price(dist)
-    phi = cdf_left(dist, r)
+    r, phi = dist.reserve, dist.phi
     n = len(cfg.k)
     try:
         losses = analysis.loss_numeric(dist, cfg.k)
@@ -378,8 +368,7 @@ def _paired_runner(auto_bound, suffices):
 
 
 def _run_thm3(cfg, dist):
-    r = reserve_price(dist)
-    phi = cdf_left(dist, r)
+    r, phi = dist.reserve, dist.phi
     ms = [_resolve_m(cfg, k, analysis.upper_bound_m) for k in cfg.k]
     ss = [analysis.multi_item_s(cfg.t, m) for m in ms]
     gains = [analysis.multi_gain_exact(phi, r, m, s, cfg.t) for m, s in zip(ms, ss)]

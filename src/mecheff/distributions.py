@@ -7,10 +7,11 @@ an atom's whole mass interval onto its location, which is what inverse-cdf
 sampling needs.
 
 The reserve price of a distribution is the x solving x * hazard(x) = 1,
-i.e. the point where the virtual value x - 1/hazard(x) crosses zero. For
-any distribution with nondecreasing hazard the cdf at the reserve can
-never exceed 1 - 1/e; that cap is what makes `GFamily` (which attains it)
-the extremal member of its class.
+i.e. the point where the virtual value x - 1/hazard(x) crosses zero. A
+distribution's class is (r, phi): its `reserve` r and `phi` = F(r-), the
+mass below r, each found once per instance. For any distribution with
+nondecreasing hazard phi can never exceed 1 - 1/e; that cap is what makes
+`GFamily` (which attains it) the extremal member of its class.
 """
 
 from __future__ import annotations
@@ -18,19 +19,19 @@ from __future__ import annotations
 import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
 from .numerics import bisect, bracket_root
 
-# Universal cap on cdf(reserve) for nondecreasing-hazard distributions.
+# Universal cap on F(reserve-) for nondecreasing-hazard distributions.
 ALPHA = 1.0 - 1.0 / math.e
 
 
 def check_phi(phi: float, lo_open: bool = False) -> float:
-    """phi = cdf(reserve) checked against [0, 1-1/e], or (0, 1-1/e] with
+    """phi = F(reserve-) checked against [0, 1-1/e], or (0, 1-1/e] with
     `lo_open`; a phi above 1-1/e by at most 1e-12 (rounding) is returned
     clamped to 1-1/e. Raises DomainError otherwise."""
     lo_ok = phi > 0.0 if lo_open else phi >= 0.0
@@ -84,9 +85,34 @@ class ValueDistribution(ABC):
         return ()
 
     @property
-    def exact_reserve(self) -> float | None:
-        """Closed-form reserve price, when the family stores one."""
-        return None
+    def kinks(self) -> tuple[float, ...]:
+        """Points where the cdf is not smooth, for a quadrature to break at:
+        the atom locations, and whatever knots a family declares."""
+        return tuple(loc for loc, _ in self.atoms)
+
+    @functools.cached_property
+    def reserve(self) -> float:
+        """The revenue-optimal reserve price, the x solving x * hazard(x) = 1.
+
+        Found on the first read and kept: bracketed by geometric expansion
+        and bisected to an interval of width 1e-12. Families with a closed
+        form override this. Raises NoRoot, on every read, when
+        x * hazard(x) stays below 1 over the whole support.
+        """
+
+        def excess(x):
+            return x * self.hazard(x) - 1.0
+
+        # from the median; unbounded supports are truncated where 1-F
+        # underflows any tolerance
+        lo, hi = bracket_root(excess, self.quantile(0.5), self.quantile(1.0 - 1e-12))
+        return bisect(excess, lo, hi)
+
+    @functools.cached_property
+    def phi(self) -> float:
+        """F(r-) = P(value < reserve), the class coordinate of the paper's
+        (r, phi) classes; found on the first read and kept."""
+        return cdf_left(self, self.reserve)
 
     @abstractmethod
     def cdf(self, x):
@@ -121,7 +147,7 @@ class Exponential(ValueDistribution):
             raise ValueError(f"rate must be positive and finite, got {self.rate}")
 
     @property
-    def exact_reserve(self):
+    def reserve(self):
         # constant hazard: x*h(x) = 1 at x = 1/rate
         return 1.0 / self.rate
 
@@ -158,7 +184,7 @@ class Uniform(ValueDistribution):
             raise ValueError(f"hi must be positive and finite, got {self.hi}")
 
     @property
-    def exact_reserve(self):
+    def reserve(self):
         # x/(hi - x) = 1 at the midpoint
         return 0.5 * self.hi
 
@@ -195,7 +221,8 @@ class GFamily(ValueDistribution):
     keeps a nondecreasing hazard only for eps <= r.
     """
 
-    phi: float
+    # field() keeps the inherited `phi` property from being read as a default
+    phi: float = field()
     r: float
     eps: float | None = None
 
@@ -215,8 +242,12 @@ class GFamily(ValueDistribution):
         return min(self.r, max(0.0, t))
 
     @property
-    def exact_reserve(self):
-        return self.r
+    def kinks(self):
+        return (self.t_knot, self.r, self.r + self.eps)
+
+    @property
+    def reserve(self):
+        return float(self.r)
 
     def cdf(self, x):
         t, r, eps, phi = self.t_knot, self.r, self.eps, self.phi
@@ -297,8 +328,8 @@ class PFamily(ValueDistribution):
         return ((self.r, self.eps / (self.r + self.eps)),)
 
     @property
-    def exact_reserve(self):
-        return self.r
+    def reserve(self):
+        return float(self.r)
 
     def cdf(self, x):
         out = np.ones(x.shape)
@@ -337,24 +368,8 @@ class MhrReport:
 
 
 def reserve_price(dist: ValueDistribution) -> float:
-    """Solve x * hazard(x) = 1 for the revenue-optimal reserve.
-
-    Families that store the reserve in closed form return it exactly;
-    otherwise the root is bracketed by geometric expansion from the median
-    and bisected to an interval of width 1e-12. Raises NoRoot when
-    x * hazard(x) stays below 1 over the whole support.
-    """
-    if dist.exact_reserve is not None:
-        return float(dist.exact_reserve)
-
-    def excess(x):
-        return x * dist.hazard(x) - 1.0
-
-    start = dist.quantile(0.5)
-    # Unbounded supports are truncated where 1-F underflows any tolerance.
-    hi_cap = dist.quantile(1.0 - 1e-12)
-    lo, hi = bracket_root(excess, start, hi_cap)
-    return bisect(excess, lo, hi)
+    """`dist.reserve`, the revenue-optimal reserve, as a float."""
+    return float(dist.reserve)
 
 
 def _at_atom(x, loc):
@@ -413,22 +428,21 @@ def mhr_check(dist: ValueDistribution, grid_size: int = 256) -> MhrReport:
 
 
 def lemma1_check(dist: ValueDistribution) -> bool:
-    """cdf at the reserve never exceeds 1 - 1/e for nondecreasing hazards."""
-    return dist.cdf(reserve_price(dist)) <= ALPHA + 1e-9
+    """phi = F(r-), the mass below the reserve, never exceeds 1 - 1/e for
+    nondecreasing hazards."""
+    return dist.phi <= ALPHA + 1e-9
 
 
 def domination_check(dist: ValueDistribution, grid_size: int = 256) -> bool:
     """Check that dist's cdf dominates its extremal class member on [0, r].
 
-    Builds the GFamily sharing dist's reserve r and phi = cdf(r) and
-    verifies cdf_dist(y) >= cdf_G(y) - 1e-9 on a grid over [0, r]. Holds
-    for every nondecreasing-hazard distribution.
+    Builds the GFamily sharing dist's reserve r and phi = F(r-), the mass
+    below the reserve, and verifies cdf_dist(y) >= cdf_G(y) - 1e-9 on a
+    grid over [0, r]. Holds for every nondecreasing-hazard distribution.
     """
     grid_size = _check_grid(grid_size)
-    r = reserve_price(dist)
-    phi = dist.cdf(r)
-    extremal = GFamily(phi=min(phi, ALPHA), r=r)
-    y = np.linspace(0.0, r, grid_size)
+    extremal = GFamily(phi=min(dist.phi, ALPHA), r=dist.reserve)
+    y = np.linspace(0.0, dist.reserve, grid_size)
     return bool(np.all(dist.cdf(y) >= extremal.cdf(y) - 1e-9))
 
 

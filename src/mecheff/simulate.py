@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ValueDistribution, reserve_price
+from .distributions import ValueDistribution
 
 BATCH_TRIALS = 1 << 14
 
@@ -348,7 +348,7 @@ def estimate_mechanism(
     mech = mechanism.lower()
     if mech not in _MECHANISMS:
         raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
-    reserve = reserve_price(dist) if mech == "rma" else 0.0
+    reserve = dist.reserve if mech == "rma" else 0.0
     row = {f"eff_{mech}": (n_bidders, reserve, 0), f"rev_{mech}": (n_bidders, reserve, 1)}
     [result] = _estimates(dist, t, [row], n_trials, seed)
     return result
@@ -369,7 +369,7 @@ def paired_compare(
     """
     if any(extra < 0 for _, extra in pairs):
         raise ValueError("extra must be at least 0")
-    r = reserve_price(dist)
+    r = dist.reserve
     rows = [{"eff_ema": (k, 0.0, 0), "eff_rma": (k + extra, r, 0)} for k, extra in pairs]
     return _estimates(dist, t, rows, n_trials, seed, diffs=[("diff", "eff_rma", "eff_ema")])
 
@@ -388,7 +388,7 @@ def revenue_compare_bk(
     efficiency-maximizing auction is expected to recover at least the
     reserve-price auction's revenue for regular value distributions.
     """
-    r = reserve_price(dist)
+    r = dist.reserve
     rows = [{"rev_ema": (k + 1, 0.0, 1), "rev_rma": (k, r, 1)} for k in ks]
     return _estimates(dist, 1, rows, n_trials, seed, diffs=[("diff", "rev_ema", "rev_rma")])
 
@@ -408,7 +408,7 @@ def efficiency_ratio(
     1 - (1-1/e)^k for nondecreasing-hazard distributions; the revenue ratio
     is at least 1 - (1-1/e)^(k-1).
     """
-    r = reserve_price(dist)
+    r = dist.reserve
     rows = [
         {"eff_ema": (k, 0.0, 0), "eff_rma": (k, r, 0), "rev_ema": (k, 0.0, 1), "rev_rma": (k, r, 1)}
         for k in ks

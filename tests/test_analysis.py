@@ -202,10 +202,10 @@ def test_loss_sweep_degenerate_raises_once():
 
 def test_loss_sweep_evaluates_each_node_once_per_call(monkeypatch):
     # the sweep hands the cdf each level's distinct nodes once, so it reads
-    # as many points as the per-k recursions visit distinct nodes (793 here
-    # on a 2-CPU AVX-512 machine), plus one for cdf_left's F(r); a memo
-    # that outlived a call would make a repeated sweep (as the benchmark's
-    # passes are) nearly free
+    # exactly as many points as the per-k recursions visit distinct nodes
+    # (793 here on a 2-CPU AVX-512 machine); G's phi is its own field, so
+    # no F(r) is read; a memo that outlived a call would make a repeated
+    # sweep (as the benchmark's passes are) nearly free
     dist, ks = GFamily(phi=0.4, r=1.5), range(1, 65)
     phi = cdf_left(dist, dist.r)
     nodes = set()
@@ -225,10 +225,10 @@ def test_loss_sweep_evaluates_each_node_once_per_call(monkeypatch):
 
     monkeypatch.setattr(GFamily, "cdf", counting_cdf)
     first = loss_numeric(dist, ks)
-    assert sum(points) == len(nodes) + 1
+    assert sum(points) == len(nodes)
     points.clear()
     assert loss_numeric(dist, ks) == first
-    assert sum(points) == len(nodes) + 1
+    assert sum(points) == len(nodes)
 
 
 def test_loss_closed_form_examples():
@@ -273,7 +273,7 @@ def test_extremality_bounds_every_family():
     # the shared-class extremal loss dominates each family's own loss
     for dist in (Exponential(1.0), Exponential(0.3), Uniform(hi=1.0), Uniform(hi=5.0),
                  GFamily(phi=0.5, r=2.0)):
-        r = float(dist.exact_reserve)
+        r = dist.reserve
         phi = float(dist.cdf(r))
         for k in (1, 2, 5):
             assert loss_numeric(dist, k) <= loss_closed_form_g(min(phi, ALPHA), r, k) + 1e-8

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mecheff.analysis import loss_numeric
 from mecheff.distributions import (
     ALPHA,
     FAMILIES,
@@ -161,6 +162,103 @@ def test_lemma1_no_root_propagates():
         lemma1_check(SubUnitHazard())
     with pytest.raises(NoRoot):
         domination_check(SubUnitHazard())
+
+
+# --- the class (reserve, phi) and the kinks, each found once per instance -----
+
+
+def _counting_hazard(monkeypatch, cls):
+    """Count the calls of cls.hazard from now on."""
+    calls = []
+    hazard = cls.hazard
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return hazard(self, x)
+
+    monkeypatch.setattr(cls, "hazard", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family", [lambda: NoClosedFormExp, lambda: load("workloads").Weibull], ids=["no-closed-form-exp", "weibull"]
+)
+def test_reserve_bisects_once_per_instance(family, monkeypatch):
+    make = family()
+    dist = make()
+    calls = _counting_hazard(monkeypatch, make)
+    r = dist.reserve
+    bisected = len(calls)
+    assert bisected > 0
+    assert dist.reserve == r and dist.phi == cdf_left(dist, r) and reserve_price(dist) == r
+    assert loss_numeric(dist, 2) == loss_numeric(dist, 2)
+    assert len(calls) == bisected
+    # the kept reserve belongs to its instance
+    assert make().reserve == r
+    assert len(calls) == 2 * bisected
+
+
+@pytest.mark.parametrize("dist", [Exponential(2.0), Uniform(hi=3.0), GFamily(phi=0.3, r=2.0), PFamily(eps=0.5, r=1.0)])
+def test_closed_form_reserves_never_call_hazard(dist, monkeypatch):
+    calls = _counting_hazard(monkeypatch, type(dist))
+    assert reserve_price(dist) == dist.reserve
+    assert dist.phi == cdf_left(dist, dist.reserve)
+    assert calls == []
+
+
+def test_no_root_is_raised_on_every_read():
+    dist = SubUnitHazard()
+    for _ in range(2):
+        with pytest.raises(NoRoot):
+            dist.reserve
+        with pytest.raises(NoRoot):
+            dist.phi
+    assert "reserve" not in vars(dist) and "phi" not in vars(dist)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        *CONTINUOUS,
+        GFamily(phi=ALPHA + 1e-13, r=1.0),  # clamped: the field reads 1-1/e
+        GFamily(phi=0.0, r=1.0),
+        PFamily(eps=0.5, r=1.0),
+        PFamily(eps=1.0, r=2.0),
+        NoClosedFormExp(3.0),
+        AtomAtZero(),
+        BareWeibull(),
+    ],
+)
+def test_phi_is_mass_below_the_reserve(dist):
+    # G's phi is its own dataclass field; every other family's is computed
+    assert dist.phi == cdf_left(dist, dist.reserve)
+
+
+def test_reserve_is_a_float_for_int_fields():
+    for dist in (GFamily(phi=0.5, r=2), PFamily(eps=1, r=2), Exponential(rate=2), Uniform(hi=3)):
+        assert type(dist.reserve) is float and type(reserve_price(dist)) is float, dist
+
+
+def test_kinks_are_declared_by_the_family():
+    g = GFamily(phi=0.5, r=2.0, eps=1e-3)
+    assert g.kinks == (g.t_knot, 2.0, 2.0 + 1e-3)
+    assert PFamily(eps=0.5, r=1.0).kinks == (1.0,)
+    assert AtomAtZero().kinks == (0.0,)
+    assert Exponential(1.0).kinks == () and Uniform(hi=1.0).kinks == ()
+
+
+def test_checks_use_mass_below_an_atom_at_the_reserve():
+    # P(eps=1, r=1): F(r) = 1 but F(r-) = 1/2, below 1-1/e, so its class
+    # is (1, 1/2); with the atom counted the lemma would fail
+    p = PFamily(eps=1.0, r=1.0)
+    assert p.cdf(1.0) == 1.0 and p.phi == 0.5
+    assert lemma1_check(p)
+    assert domination_check(p)
+    # at eps = 0.3, F(r-) = 1/1.3 exceeds 1-1/e: P is not MHR
+    p = PFamily(eps=0.3, r=1.0)
+    assert p.phi > ALPHA
+    assert not lemma1_check(p)
+    assert domination_check(p)
 
 
 # --- virtual value -----------------------------------------------------------
