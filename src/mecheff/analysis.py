@@ -97,6 +97,11 @@ def _tail_series(x, k: int):
     return s
 
 
+def _quadrature_tol(r: float) -> float:
+    """1e-10 * max(1, r): an integral over [0, r] rounds at about 1e-16 * r."""
+    return 1e-10 * max(1.0, r)
+
+
 def order_stat_cdf(dist: ValueDistribution, k: int, x) -> float:
     """cdf of the maximum of k i.i.d. draws: cdf(x)**k."""
     if k < 1:
@@ -114,9 +119,8 @@ def loss_numeric(
     only the cdf), `method="density"` integrates x d(F/F(r))^k directly.
     The distribution's `kinks` are passed to the quadrature as
     breakpoints. The conditioning probability appears inside the integrand
-    so the quadrature tolerance, 1e-10 * max(1, r), carries over to the
-    conditional value; it grows with r because an integral of size r
-    rounds at about 1e-16 * r, and a smaller target never converges.
+    so the quadrature tolerance, `_quadrature_tol(r)`, carries over to the
+    conditional value.
 
     `k` is an int, giving a float, or a sequence of ints (a k sweep),
     giving a tuple with one loss per k in order. Each k keeps its own
@@ -152,8 +156,7 @@ def loss_numeric(
             return power
         return xs * js[idx] * power * dist.pdf(nodes)[at] / phi
 
-    tol = 1e-10 * max(1.0, r)
-    areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=tol, breakpoints=dist.kinks)
+    areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=_quadrature_tol(r), breakpoints=dist.kinks)
     losses = tuple(r - a for a in areas) if method == "cdf" else areas
     return losses[0] if scalar else losses
 
@@ -275,8 +278,7 @@ def loss_p_unconditional(eps: float, r: float, k: int) -> float:
     F(x) = x/(x+eps) below the cap, so the integrand is
     k*eps*x^k/(x+eps)^(k+1). This is the unconditional shortfall (already
     weighted by the below-cap probability), the quantity the counterexample
-    search pits against the extra-bidder gain. The quadrature tolerance is
-    1e-10 * max(1, r), as in `loss_numeric`.
+    search pits against the extra-bidder gain.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -284,7 +286,7 @@ def loss_p_unconditional(eps: float, r: float, k: int) -> float:
     def integrand(x):
         return k * eps * x**k / (x + eps) ** (k + 1)
 
-    return adaptive_simpson(integrand, 0.0, r, tol=1e-10 * max(1.0, r))
+    return adaptive_simpson(integrand, 0.0, r, tol=_quadrature_tol(r))
 
 
 class Counterexample(NamedTuple):

@@ -25,7 +25,9 @@ import json
 import operator
 import sys
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields
+from decimal import Decimal, InvalidOperation
 from itertools import chain
 from pathlib import Path
 
@@ -43,12 +45,14 @@ class ConfigError(Exception):
 
 
 def _parse_int(value) -> int:
-    """An int, an integral float such as 5.0, or an int's text; a bool or a
-    fractional number raises ValueError instead of being truncated."""
-    integral = isinstance(value, (int, str)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
+    """An int, or a finite integral float or number's text such as 5.0 or
+    "1e3", read exactly, as a Decimal; a bool, a fractional or non-finite
+    number, or over 4300 digits (int()'s limit for text) raises ValueError."""
+    with suppress(InvalidOperation):
+        exact = Decimal(value if isinstance(value, float) else str(value))
+        if exact.is_finite() and exact == exact.to_integral_value() and exact.adjusted() < 4300:
+            return int(exact)
+    raise ValueError(f"{value!r} is not an integer")
 
 
 def _parse_int_range(value, what):
@@ -504,6 +508,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     try:
         if not cfg.k:  # an experiment without rows has no columns to report
             raise ConfigError("k range must be nonempty")
+        if cfg.output_path == "":  # a prefix that names no file
+            raise ConfigError("the output prefix is empty")
         columns, extra_params = experiment.run(cfg, from_spec(cfg.distribution))
     except (ConfigError, MechEffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

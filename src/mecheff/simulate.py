@@ -1,26 +1,21 @@
 """Seeded Monte Carlo estimation of expected efficiency and revenue.
 
-Every estimate reads declared columns `(width, reserve, stat)`: the
-t-item second-price rule at `reserve` (0 for the efficiency-maximizing
-auction, the monopoly reserve for the reserve-price auction) on the first
-`width` values of a trial's draw, `stat` 0 for efficiency and 1 for
-revenue. An estimator declares one row of named columns per comparison,
-`{name: (width, reserve, stat)}`, and `_estimates`, the one scan, reduces
-each row to the first and second cross moments of its columns. A row's
-columns share each trial's draw, so EMA(k) against RMA(k+extra) sees the
-first k of the same k+extra values, and a difference inherits the
-positive correlation of these common random numbers.
+A column is its name: `eff_ema`, `eff_rma`, `rev_ema` or `rev_rma` is the
+efficiency or revenue of the t-item second-price rule at reserve 0 (EMA,
+the efficiency-maximizing auction) or at the monopoly reserve (RMA, the
+reserve-price auction). An estimator declares one row of columns per
+comparison, `{name: width}`, each reading the first `width` values of a
+trial's draw, and `_estimates`, the one scan, reduces each row to the
+first and second cross moments of its columns. A row's columns share each
+trial's draw, so EMA(k) against RMA(k+extra) sees the first k of the same
+k+extra values, and a difference inherits the positive correlation of
+these common random numbers.
 
-Each estimator returns one `{name: Estimate}` per row, named as the CSV
-columns are: `eff_ema`, `eff_rma`, `rev_ema` and `rev_rma` hold the
-columns' means. A row may also declare a difference or a ratio of two of
-its columns: `paired_compare`'s `diff` is eff_rma - eff_ema,
-`revenue_compare_bk`'s `diff` is rev_ema - rev_rma, and
-`efficiency_ratio`'s `eff_ratio` and `rev_ratio` are eff_rma/eff_ema and
-rev_ema/rev_rma, each ratio's `Estimate.value` with a delta-method
-standard error. `_estimates` checks each input where the scan reads it
-and refuses a run of one trial, so every `std_err` is a sample estimate;
-a front end checks only its own `extra` or mechanism name.
+Each estimator returns one `{name: Estimate}` per row, in the CSV's words:
+each column's mean and any difference or ratio of two columns the row
+declares, a ratio with a delta-method standard error. `_estimates` checks
+each input where the scan reads it, so a front end checks only its own
+`extra`.
 
 Both mechanisms read one value stack per width: the t highest values,
 highest first, then the (t+1)-th, which only sets the price and is kept
@@ -78,7 +73,8 @@ from .distributions import ValueDistribution
 
 BATCH_TRIALS = 1 << 14
 
-_MECHANISMS = ("ema", "rma")
+# name: (statistic, 0 efficiency or 1 revenue; priced at the monopoly reserve)
+_COLUMNS = {"eff_ema": (0, False), "eff_rma": (0, True), "rev_ema": (1, False), "rev_rma": (1, True)}
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}  # one per thread cap
 _WORKSPACE = threading.local()
@@ -147,23 +143,24 @@ def _batch_uniforms(seed: int, batch_index: int, size, out=None):
 def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
     """One `{name: Estimate}` per row of named columns, in order: the scan.
 
-    Each row maps names to columns `(width, reserve, stat)`. A batch draws
-    once, at the widest width; each row selects once, at its distinct
-    widths, prices each distinct `(width, reserve)` once and reduces to
-    column sums and cross products, added into the first batch's in batch
-    order. Each name gets its column's mean; each declared difference
-    `(name, a, b)` the mean of a minus b per trial, its standard error from
-    the per-trial differences, so the shared draws cancel; each declared
-    ratio `(name, a, b)` a's mean over b's.
+    Each row maps column names to widths; `_COLUMNS` gives each name its
+    statistic and reserve, 0 or `dist.reserve`, read only for an RMA column.
+    A batch draws once, at the widest width; each row selects once, at its
+    distinct widths, prices each distinct `(width, reserve)` once and
+    reduces to column sums and cross products, added into the first
+    batch's in batch order. Each name gets its column's mean; each declared
+    difference `(name, a, b)` the mean of a minus b per trial, its standard
+    error from the per-trial differences, so the shared draws cancel; each
+    declared ratio `(name, a, b)` a's mean over b's.
 
     Every input is checked here, where the scan reads it: at least one
     row, t >= 1, two or more columns per row (the einsum column sums match
-    `sum(axis=0)` bit for bit only there), every width >= 1, a seed in
-    [0, 2**64) and n_trials >= 2, the fewest that give a variance estimate.
-    So is the value scale: a column or difference with a nonzero sum needs
-    a finite mean square of at least the smallest normal float, and a ratio
-    a finite variance, or the squares lost their bits and a standard error
-    would read 0.
+    `sum(axis=0)` bit for bit only there), every name one of the four
+    columns, every width >= 1, a seed in [0, 2**64) and n_trials >= 2, the
+    fewest that give a variance estimate. So is the value scale: a column
+    or difference with a nonzero sum needs a finite mean square of at least
+    the smallest normal float, and a ratio a finite variance, or the
+    squares lost their bits and a standard error would read 0.
     """
     if not rows:
         raise ValueError("need at least one row")
@@ -171,14 +168,19 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
         raise ValueError(f"t must be at least 1, got {t}")
     if any(len(row) < 2 for row in rows):
         raise ValueError("every row needs at least two columns")
-    if any(width < 1 for row in rows for width, _, _ in row.values()):
+    if any(name not in _COLUMNS for row in rows for name in row):
+        raise ValueError(f"every column must be one of {', '.join(_COLUMNS)}")
+    if any(width < 1 for row in rows for width in row.values()):
         raise ValueError("every width must be at least 1")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if n_trials < 2:
         raise ValueError(f"n_trials must be at least 2 for a variance estimate, got {n_trials}")
     n_batches = -(-n_trials // BATCH_TRIALS)
-    widest = max(width for row in rows for width, _, _ in row.values())
+    widest = max(width for row in rows for width in row.values())
+    reserve = dist.reserve if any(_COLUMNS[name][1] for row in rows for name in row) else 0.0
+    reserve_and_stat = {name: (reserve if rma else 0.0, stat) for name, (stat, rma) in _COLUMNS.items()}
+    declared = [[(width, *reserve_and_stat[name]) for name, width in row.items()] for row in rows]
 
     def columns(flat, trials, row):
         # a frame of its own: the selections and the unused statistics are
@@ -196,8 +198,8 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
         size = trials * widest
         flat = _batch_uniforms(seed, b, size, out=_workspace("draw", size))
         out = []
-        for row in rows:
-            stats = np.column_stack(columns(flat, trials, row.values()))
+        for row in declared:
+            stats = np.column_stack(columns(flat, trials, row))
             # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop;
             # a square past float64's range is refused by name in `_estimate`
             with np.errstate(over="ignore"):
@@ -346,12 +348,8 @@ def estimate_mechanism(
     """Mean efficiency and revenue of one mechanism over i.i.d. value draws,
     as `eff_<mechanism>` and `rev_<mechanism>`."""
     mech = mechanism.lower()
-    if mech not in _MECHANISMS:
-        raise ValueError(f"mechanism must be one of {_MECHANISMS}, got {mechanism!r}")
-    reserve = dist.reserve if mech == "rma" else 0.0
-    row = {f"eff_{mech}": (n_bidders, reserve, 0), f"rev_{mech}": (n_bidders, reserve, 1)}
-    [result] = _estimates(dist, t, [row], n_trials, seed)
-    return result
+    row = {f"eff_{mech}": n_bidders, f"rev_{mech}": n_bidders}
+    return _estimates(dist, t, [row], n_trials, seed)[0]
 
 
 def paired_compare(
@@ -369,8 +367,7 @@ def paired_compare(
     """
     if any(extra < 0 for _, extra in pairs):
         raise ValueError("extra must be at least 0")
-    r = dist.reserve
-    rows = [{"eff_ema": (k, 0.0, 0), "eff_rma": (k + extra, r, 0)} for k, extra in pairs]
+    rows = [{"eff_ema": k, "eff_rma": k + extra} for k, extra in pairs]
     return _estimates(dist, t, rows, n_trials, seed, diffs=[("diff", "eff_rma", "eff_ema")])
 
 
@@ -388,8 +385,7 @@ def revenue_compare_bk(
     efficiency-maximizing auction is expected to recover at least the
     reserve-price auction's revenue for regular value distributions.
     """
-    r = dist.reserve
-    rows = [{"rev_ema": (k + 1, 0.0, 1), "rev_rma": (k, r, 1)} for k in ks]
+    rows = [{"rev_ema": k + 1, "rev_rma": k} for k in ks]
     return _estimates(dist, 1, rows, n_trials, seed, diffs=[("diff", "rev_ema", "rev_rma")])
 
 
@@ -408,10 +404,6 @@ def efficiency_ratio(
     1 - (1-1/e)^k for nondecreasing-hazard distributions; the revenue ratio
     is at least 1 - (1-1/e)^(k-1).
     """
-    r = dist.reserve
-    rows = [
-        {"eff_ema": (k, 0.0, 0), "eff_rma": (k, r, 0), "rev_ema": (k, 0.0, 1), "rev_rma": (k, r, 1)}
-        for k in ks
-    ]
+    rows = [{"eff_ema": k, "eff_rma": k, "rev_ema": k, "rev_rma": k} for k in ks]
     ratios = [("eff_ratio", "eff_rma", "eff_ema"), ("rev_ratio", "rev_ema", "rev_rma")]
     return _estimates(dist, 1, rows, n_trials, seed, ratios=ratios)

@@ -346,11 +346,35 @@ def test_distribution_fields_must_be_numbers(tmp_path):
 
 
 def test_config_integral_floats_are_ints(tmp_path):
+    # the config file's numbers and the flags' text follow one rule
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"t": 2.0, "k": 3.0, "m": 5.0, "n_trials": 1e3, "seed": 7.0}))
-    cfg = cli.build_config(cli._build_parser().parse_args(["thm1", "--config", str(path)]))
-    assert (cfg.t, cfg.k, cfg.m, cfg.n_trials, cfg.seed) == (2, [3], 5, 1000, 7)
-    assert all(type(v) is int for v in (cfg.t, *cfg.k, cfg.m, cfg.n_trials, cfg.seed))
+    flags = ["--t", "2.0", "--k", "3.0", "--m", "5.0", "--n", "1e3", "--seed", "7.0"]
+    for argv in (["thm1", "--config", str(path)], ["thm1", *flags]):
+        cfg = cli.build_config(cli._build_parser().parse_args(argv))
+        assert (cfg.t, cfg.k, cfg.m, cfg.n_trials, cfg.seed) == (2, [3], 5, 1000, 7)
+        assert all(type(v) is int for v in (cfg.t, *cfg.k, cfg.m, cfg.n_trials, cfg.seed))
+
+
+def test_integer_text_is_read_exactly():
+    # text goes through Decimal, never float: 2**64 - 1 keeps every digit
+    argv = ["thm1", "--n", "1e6", "--seed", "18446744073709551615.0"]
+    cfg = cli.build_config(cli._build_parser().parse_args(argv))
+    assert (cfg.n_trials, cfg.seed) == (1_000_000, 2**64 - 1)
+    for bad in ("2.5", "1e-1", "nan", "inf", "True", "1e4300"):
+        with pytest.raises(ValueError):
+            cli._parse_int(bad)
+        assert main(["thm1", "--k", "1", "--n", bad]) == 2
+
+
+def test_empty_output_prefix_is_refused(tmp_path, monkeypatch, capsys):
+    # an empty prefix names no report, so it is a config error, not stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"output_path": ""}))
+    for argv in (["bounds", "--k", "1..3", "--out", ""], ["bounds", "--k", "1..3", "--config", "cfg.json"]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: the output prefix is empty\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 @pytest.mark.parametrize("name", list(cli._EXPERIMENTS))

@@ -95,11 +95,13 @@ def test_mechanism_name_validation():
         estimate_mechanism(Uniform(hi=1.0), 0, 1, "ema", 10, seed=0)
 
 
-# per front end, calls with t = 0, a width of 0 (k = 0) or no rows
+# per front end, calls with t = 0, a width of 0 (k = 0), no rows or a
+# mechanism that names no column
 SCAN_REFUSALS = {
     "estimate_mechanism": [
         lambda u: estimate_mechanism(u, 2, 0, "ema", 10, seed=0),
         lambda u: estimate_mechanism(u, 0, 1, "ema", 10, seed=0),
+        lambda u: estimate_mechanism(u, 2, 1, "vcg", 10, seed=0),
     ],
     "paired_compare": [
         lambda u: paired_compare(u, [(2, 1)], 0, 10, seed=0),
@@ -119,7 +121,8 @@ SCAN_REFUSALS = {
 
 @pytest.mark.parametrize("front_end", SCAN_REFUSALS)
 def test_scan_inputs_are_checked_by_the_scan(front_end):
-    # t, the widths and the row count are refused where the scan reads them
+    # t, the widths, the row count and the column names are refused where
+    # the scan reads them
     for call in SCAN_REFUSALS[front_end]:
         with pytest.raises(ValueError) as excinfo:
             call(Uniform(hi=1.0))
@@ -127,13 +130,18 @@ def test_scan_inputs_are_checked_by_the_scan(front_end):
 
 
 def test_front_ends_check_their_own_arguments():
-    for call, front_end in [
-        (lambda: paired_compare(Uniform(hi=1.0), [(5, -1)], 1, 10, seed=0), "paired_compare"),
-        (lambda: estimate_mechanism(Uniform(hi=1.0), 2, 1, "vcg", 10, seed=0), "estimate_mechanism"),
-    ]:
-        with pytest.raises(ValueError) as excinfo:
-            call()
-        assert excinfo.traceback[-1].name == front_end
+    # only paired_compare can judge its extra bidders
+    with pytest.raises(ValueError) as excinfo:
+        paired_compare(Uniform(hi=1.0), [(5, -1)], 1, 10, seed=0)
+    assert excinfo.traceback[-1].name == "paired_compare"
+
+
+@pytest.mark.parametrize("name", ["eff_vcg", "diff", "EFF_EMA", "eff"])
+def test_scan_refuses_unknown_column_names(name):
+    # a column is one of the four names; anything else is refused by the scan
+    with pytest.raises(ValueError, match="eff_ema, eff_rma, rev_ema, rev_rma") as excinfo:
+        simulate._estimates(Uniform(hi=1.0), 1, [{"eff_ema": 2, name: 2}], 10, seed=0)
+    assert excinfo.traceback[-1].name == "_estimates"
 
 
 def test_estimate_fields():
@@ -269,6 +277,15 @@ def test_no_root_propagates():
         paired_compare(SubUnitHazard(), [(2, 1)], 1, 10, seed=0)
 
 
+def test_reserve_is_read_only_for_rma_columns():
+    # EMA prices at 0, so an EMA-only call runs where the reserve has no
+    # root and an RMA call raises NoRoot (test_no_root_propagates)
+    from test_distributions import SubUnitHazard
+
+    est = estimate_mechanism(SubUnitHazard(), 2, 1, "ema", 10, seed=0)
+    assert est.keys() == {"eff_ema", "rev_ema"}
+
+
 def test_multi_item_paired_compare():
     # t = 2 items, enough extras: reserve auction keeps up
     k = 8
@@ -376,7 +393,7 @@ def test_column_sums_einsum_equal_sum(c):
 
 def test_one_column_row_is_refused():
     with pytest.raises(ValueError, match="two columns"):
-        simulate._estimates(Uniform(hi=1.0), 1, [{"eff_ema": (2, 0.0, 0)}], 10, seed=0)
+        simulate._estimates(Uniform(hi=1.0), 1, [{"eff_ema": 2}], 10, seed=0)
 
 
 def test_squares_past_float64_normal_range_are_refused():
@@ -507,11 +524,7 @@ def test_efficiency_rows_equal_rows_that_read_revenue(dist, t):
     # share keeps every bit, the difference's cross moments included.
     # Two batches, the second short, with widths below, at and above t
     n, pairs = BATCH_TRIALS + 123, [(3, 1), (4, 5), (1, 0)]
-    r = reserve_price(dist)
-    rows = [
-        {"eff_ema": (k, 0.0, 0), "eff_rma": (k + extra, r, 0), "rev_ema": (k, 0.0, 1)}
-        for k, extra in pairs
-    ]
+    rows = [{"eff_ema": k, "eff_rma": k + extra, "rev_ema": k} for k, extra in pairs]
     diffs = [("diff", "eff_rma", "eff_ema")]
     read_revenue = simulate._estimates(dist, t, rows, n, seed=23, diffs=diffs)
     for got, wider in zip(paired_compare(dist, pairs, t, n, seed=23), read_revenue, strict=True):
