@@ -32,7 +32,6 @@ from .distributions import (
     lemma1_check,
     mhr_check,
     reserve_price,
-    to_spec,
     virtual_value,
 )
 from .errors import (

@@ -39,24 +39,6 @@ from .distributions import ALPHA, ValueDistribution, check_phi
 from .errors import DegenerateConditioning, DomainError, SearchExhausted
 from .numerics import adaptive_simpson, simpson_sweep
 
-__all__ = [
-    "ALPHA",
-    "order_stat_cdf",
-    "loss_numeric",
-    "loss_closed_form_g",
-    "gain",
-    "gain_minus_loss_g",
-    "q_poly",
-    "upper_bound_m",
-    "lower_bound_m",
-    "EPSILON_SLACK",
-    "multi_item_s",
-    "multi_gain_exact",
-    "loss_p_unconditional",
-    "Counterexample",
-    "regular_counterexample_search",
-]
-
 _LOG_INV_ALPHA = math.log(1.0 / ALPHA)
 _MAX_TERMS = 10_000_000
 _LOG_CUTOFF = math.log(1e-20)

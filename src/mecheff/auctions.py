@@ -18,21 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
 class AuctionOutcome:
-    """Allocation and payments for one bid vector."""
+    """Allocation and the one price every winner pays, for one bid vector."""
 
     winners: tuple[int, ...]
-    payments: Mapping[int, float]
+    price: float
     efficiency: float
     revenue: float
-
-    @property
-    def winner_set(self) -> frozenset[int]:
-        return frozenset(self.winners)
 
 
 def _second_price(bids: Sequence[float], t: int, reserve: float) -> AuctionOutcome:
@@ -51,7 +47,7 @@ def _second_price(bids: Sequence[float], t: int, reserve: float) -> AuctionOutco
     price = max(reserve, b[order[t]] if len(b) > t else 0.0)
     return AuctionOutcome(
         winners=winners,
-        payments={i: price for i in winners},
+        price=price,
         efficiency=sum((b[i] for i in winners), 0.0),
         revenue=price * len(winners),
     )

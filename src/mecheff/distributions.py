@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -364,7 +364,6 @@ class MhrReport:
 
     is_mhr: bool
     witness: tuple[float, float] | None
-    grid_size: int
 
 
 def reserve_price(dist: ValueDistribution) -> float:
@@ -422,9 +421,9 @@ def mhr_check(dist: ValueDistribution, grid_size: int = 256) -> MhrReport:
     x, h = x[finite], h[finite]
     drops = np.nonzero(h[1:] < h[:-1] * (1.0 - 1e-9))[0]
     if drops.size == 0:
-        return MhrReport(is_mhr=True, witness=None, grid_size=grid_size)
+        return MhrReport(is_mhr=True, witness=None)
     i = int(drops[0])
-    return MhrReport(is_mhr=False, witness=(float(x[i]), float(x[i + 1])), grid_size=grid_size)
+    return MhrReport(is_mhr=False, witness=(float(x[i]), float(x[i + 1])))
 
 
 def lemma1_check(dist: ValueDistribution) -> bool:
@@ -470,10 +469,3 @@ def from_spec(record: dict) -> ValueDistribution:
     except TypeError as exc:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
-
-def to_spec(dist: ValueDistribution) -> dict:
-    """Inverse of from_spec, for self-describing reports."""
-    for family, cls in FAMILIES.items():
-        if isinstance(dist, cls):
-            return {"family": family, **asdict(dist)}
-    raise ValueError(f"no record form for {type(dist).__name__}")

@@ -345,10 +345,9 @@ def estimate_mechanism(
     n_trials: int,
     seed: int,
 ) -> dict[str, Estimate]:
-    """Mean efficiency and revenue of one mechanism over i.i.d. value draws,
-    as `eff_<mechanism>` and `rev_<mechanism>`."""
-    mech = mechanism.lower()
-    row = {f"eff_{mech}": n_bidders, f"rev_{mech}": n_bidders}
+    """Mean efficiency and revenue of one mechanism, "ema" or "rma", over
+    i.i.d. value draws, as `eff_<mechanism>` and `rev_<mechanism>`."""
+    row = {f"eff_{mechanism}": n_bidders, f"rev_{mechanism}": n_bidders}
     return _estimates(dist, t, [row], n_trials, seed)[0]
 
 

@@ -11,26 +11,26 @@ reserve_st = st.floats(0.01, 50.0)
 
 def test_ema_examples():
     out = ema([3, 1, 2], t=1)
-    assert out.winner_set == {0} and out.payments[0] == 2.0
+    assert out.winners == (0,) and out.price == 2.0
     assert out.efficiency == 3.0 and out.revenue == 2.0
 
     out = ema([3, 2, 1.5, 0.5], t=2)
-    assert out.winner_set == {0, 1}
-    assert out.payments == {0: 1.5, 1: 1.5}
+    assert out.winners == (0, 1)
+    assert out.price == 1.5
     assert out.efficiency == 5.0 and out.revenue == 3.0
 
     out = ema([4], t=2)
-    assert out.winner_set == {0} and out.payments[0] == 0.0
+    assert out.winners == (0,) and out.price == 0.0
     assert out.efficiency == 4.0 and out.revenue == 0.0
 
 
 def test_rma_examples():
     out = rma([3, 1, 2], t=1, reserve=2.5)
-    assert out.winner_set == {0} and out.payments[0] == 2.5
+    assert out.winners == (0,) and out.price == 2.5
 
     out = rma([3, 2, 0.5, 1.5], t=2, reserve=1.0)
-    assert out.winner_set == {0, 1}
-    assert out.payments == {0: 1.5, 1: 1.5}
+    assert out.winners == (0, 1)
+    assert out.price == 1.5
     assert out.revenue == 3.0
 
     out = rma([0.4, 0.3], t=1, reserve=0.5)
@@ -40,14 +40,14 @@ def test_rma_examples():
 def test_tie_break_lowest_index():
     out = ema([2.0, 2.0, 2.0], t=2)
     assert out.winners == (0, 1)
-    assert out.payments == {0: 2.0, 1: 2.0}
+    assert out.price == 2.0
     out = rma([1.0, 1.0], t=1, reserve=1.0)
     assert out.winners == (0,)
 
 
 def test_rma_single_bidder_pays_reserve():
     out = rma([2.0], t=1, reserve=0.7)
-    assert out.payments == {0: 0.7} and out.revenue == 0.7
+    assert out.winners == (0,) and out.price == 0.7 and out.revenue == 0.7
 
 
 def test_validation():
@@ -68,11 +68,10 @@ def test_validation():
 def test_ema_outcome_invariants(bids, t):
     out = ema(bids, t)
     assert len(out.winners) == min(t, len(bids))
-    assert set(out.payments) == set(out.winners)
     assert out.efficiency == pytest.approx(sum(bids[i] for i in out.winners))
-    assert out.revenue == pytest.approx(sum(out.payments.values()))
+    assert out.revenue == out.price * len(out.winners)
     for i in out.winners:
-        assert out.payments[i] <= bids[i] + 1e-12  # individual rationality
+        assert out.price <= bids[i] + 1e-12  # individual rationality
 
 
 @given(bids_st, t_st, reserve_st)
@@ -80,12 +79,11 @@ def test_ema_outcome_invariants(bids, t):
 def test_rma_outcome_invariants(bids, t, reserve):
     out = rma(bids, t, reserve)
     assert len(out.winners) <= t
-    assert set(out.payments) == set(out.winners)
-    assert out.revenue == pytest.approx(sum(out.payments.values()))
+    assert out.revenue == out.price * len(out.winners)
+    assert out.price >= reserve
     for i in out.winners:
         assert bids[i] >= reserve
-        assert out.payments[i] >= reserve
-        assert out.payments[i] <= bids[i] + 1e-12
+        assert out.price <= bids[i] + 1e-12
 
 
 @given(bids_st, t_st, reserve_st)
@@ -113,7 +111,8 @@ def test_removing_deep_loser_preserves_ema(bids, t):
         return
     out_full = ema(bids, t)
     out_drop = ema(bids[:idx] + bids[idx + 1 :], t)
-    assert sorted(out_full.payments.values()) == sorted(out_drop.payments.values())
+    assert out_full.price == out_drop.price
+    assert len(out_full.winners) == len(out_drop.winners)
     assert out_full.efficiency == pytest.approx(out_drop.efficiency)
     assert out_full.revenue == pytest.approx(out_drop.revenue)
 
@@ -146,4 +145,3 @@ def test_winners_follow_bid_then_index_under_ties(bids, t, reserve):
     expected = tuple(i for i in sorted(rank, key=rank.get) if rank[i] < t and bids[i] >= floor)
     out = ema(bids, t) if reserve is None else rma(bids, t, reserve)
     assert out.winners == expected
-    assert set(out.payments) == set(expected)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mecheff import cli, simulate
-from mecheff.analysis import lower_bound_m, upper_bound_m
+from mecheff.analysis import lower_bound_m, multi_item_s, upper_bound_m
 from mecheff.cli import main, parse_dist_arg
 
 
@@ -129,6 +129,35 @@ def test_gainloss_runs(tmp_path):
     lines = (tmp_path / "gl.csv").read_text().splitlines()
     assert lines[0].startswith("k,m,phi,r,gain,loss")
     assert len(lines) == 5
+
+
+def test_gainloss_with_no_mass_below_the_reserve(tmp_path):
+    # phi = 0 leaves nothing to condition on: the loss is 0, not an error
+    assert main(["gainloss", "--dist", "g:0:1", "--k", "1..3", "--out", str(tmp_path / "gl")]) == 0
+    rows = json.loads((tmp_path / "gl.json").read_text())["rows"]
+    assert [row["k"] for row in rows] == [1, 2, 3]
+    for row in rows:
+        assert row["loss"] == 0.0 and row["loss_extremal"] == 0.0 and row["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, column, want",
+    [
+        (["thm1", "--k", "1,2", "--m", "3"], "extra", 3),
+        (["thm2", "--m", "1"], "extra", 1),
+        (["thm3", "--t", "2", "--m", "4"], "m", 4),
+        (["gainloss", "--m", "2"], "m", 2),
+    ],
+)
+def test_an_int_m_is_what_ran(tmp_path, argv, column, want):
+    out = tmp_path / "run"
+    rc = main([*argv, "--n", "200", "--seed", "3", "--out", str(out)])
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert rc == (0 if summary["pass"] else 1)
+    assert summary["params"]["m"] == want
+    assert summary["rows"] and all(row[column] == want for row in summary["rows"])
+    if argv[0] == "thm3":
+        assert all(row["s"] == multi_item_s(2, 4) for row in summary["rows"])
 
 
 def test_regular_cx_small(tmp_path):
@@ -295,6 +324,25 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["thm1", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"experiment": "thm1"}))
     assert main(["thm2", "--config", str(cfg)]) == 2  # conflicting experiment
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--dist", "{"], None, "bad distribution JSON"),
+        (["--config", "missing.json"], None, "cannot read config"),
+        (["--config", "list.json"], [1], "config file must hold a JSON object"),
+    ],
+)
+def test_unreadable_configs_exit_2_without_reports(tmp_path, monkeypatch, capsys, argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / argv[-1]).write_text(json.dumps(config))
+    before = sorted(tmp_path.iterdir())
+    assert main(["reserve", *argv, "--out", "r"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {message}") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_family_tag_not_a_string_exits_2(tmp_path, capsys):

@@ -146,3 +146,17 @@ def test_bracket_then_bisect():
 def test_bracket_no_root_raises():
     with pytest.raises(NoRoot):
         bracket_root(lambda x: -1.0, start=1.0, hi_limit=100.0)
+
+
+def test_bracket_root_edges():
+    # a root exactly at the start is its own bracket
+    assert bracket_root(lambda x: x - 0.5, start=0.5, hi_limit=1.0) == (0.5, 0.5)
+    # positive all the way down to 0: no sign change below the start
+    with pytest.raises(NoRoot, match="no sign change below the starting point"):
+        bracket_root(lambda x: 1.0, start=0.5, hi_limit=1.0)
+
+
+def test_bisect_returns_exact_zeros():
+    # at lo itself, and at the first midpoint
+    assert bisect(lambda x: x, 0.0, 1.0) == 0.0
+    assert bisect(lambda x: x - 0.5, 0.0, 1.0) == 0.5

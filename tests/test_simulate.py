@@ -1,10 +1,11 @@
 import hashlib
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,12 +97,13 @@ def test_mechanism_name_validation():
 
 
 # per front end, calls with t = 0, a width of 0 (k = 0), no rows or a
-# mechanism that names no column
+# mechanism that names no column, "EMA" too: its case is not folded
 SCAN_REFUSALS = {
     "estimate_mechanism": [
         lambda u: estimate_mechanism(u, 2, 0, "ema", 10, seed=0),
         lambda u: estimate_mechanism(u, 0, 1, "ema", 10, seed=0),
         lambda u: estimate_mechanism(u, 2, 1, "vcg", 10, seed=0),
+        lambda u: estimate_mechanism(u, 2, 1, "EMA", 10, seed=0),
     ],
     "paired_compare": [
         lambda u: paired_compare(u, [(2, 1)], 0, 10, seed=0),
@@ -712,28 +714,29 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     assert got == expected
 
 
-def compare_in_child(conn):
-    conn.send(repr(paired_compare(Exponential(1.0), [(20, 18)], 2, BATCH_TRIALS + 5, seed=61)))
-    conn.close()
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_forked_child_does_not_use_the_inherited_pool(monkeypatch):
-    # the parent's 2-thread pool has live workers; the child's copy has none
+    # the parent's 2-thread pool has live workers; the child's copy has none,
+    # so without the at-fork hook the child's call waits on it forever
     monkeypatch.setenv("MECH_EFF_THREADS", "2")
-    expected = repr(paired_compare(Exponential(1.0), [(20, 18)], 2, BATCH_TRIALS + 5, seed=61))
-    fork = multiprocessing.get_context("fork")
-    receiver, sender = fork.Pipe(duplex=False)
-    child = fork.Process(target=compare_in_child, args=(sender,))
-    child.start()
-    try:
-        assert receiver.poll(60), "the forked child's call hung"
-        got = receiver.recv()
-        child.join(60)
-        assert child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join(10)
-    assert got == expected
+
+    def call():
+        return repr(paired_compare(Exponential(1.0), [(20, 18)], 2, BATCH_TRIALS + 5, seed=61))
+
+    expected = call()
+    pid = os.fork()
+    if pid == 0:  # the child answers by its exit status and never returns to pytest
+        code = 2
+        try:
+            code = 0 if call() == expected else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG)) == (0, 0):
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's call hung")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
