@@ -45,12 +45,11 @@ def _second_price(bids: Sequence[float], t: int, reserve: float) -> AuctionOutco
     # the bids at or above the reserve form a prefix of the ranking
     winners = tuple(i for i in order[:t] if b[i] >= reserve)
     price = max(reserve, b[order[t]] if len(b) > t else 0.0)
-    return AuctionOutcome(
-        winners=winners,
-        price=price,
-        efficiency=sum((b[i] for i in winners), 0.0),
-        revenue=price * len(winners),
-    )
+    # one addition at a time, highest first: sum() compensates from Python 3.12 on
+    efficiency = 0.0
+    for i in winners:
+        efficiency += b[i]
+    return AuctionOutcome(winners=winners, price=price, efficiency=efficiency, revenue=price * len(winners))
 
 
 def ema(bids: Sequence[float], t: int = 1) -> AuctionOutcome:

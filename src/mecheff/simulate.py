@@ -46,9 +46,12 @@ process's affinity mask, at most 8. One pool per cap lives as long as the
 process (a forked child drops the ones it inherits, whose threads it does
 not have), and a cap of 1 runs the batches inline, in order, on the
 calling thread. Each thread that runs batches keeps a workspace of two
-64-byte-aligned buffers, the batch's draw and `_select`'s transposed copy,
-grown to the largest batch it has seen and then reused, so a batch
-allocates neither.
+64-byte-aligned buffers, each grown to the largest size asked of it and
+then reused: the batch's draw, and a row's buffer, which holds `_select`'s
+transposed copy, spare row and register stack, and then `_second_price`'s
+rows and the matrix of the row's columns. So a warm batch's only large
+allocations are what `quantile` returns, and no row temporary goes back
+to the allocator to be fetched again.
 
 The bytes are fixed per numpy build, SIMD dispatch and BLAS kernel: the
 `Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`. Each
@@ -64,7 +67,6 @@ import math
 import os
 import threading
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,7 @@ BATCH_TRIALS = 1 << 14
 # name: (statistic, 0 efficiency or 1 revenue; priced at the monopoly reserve)
 _COLUMNS = {"eff_ema": (0, False), "eff_rma": (0, True), "rev_ema": (1, False), "rev_rma": (1, True)}
 
-_POOLS: dict[int, ThreadPoolExecutor] = {}  # one per thread cap
+_POOLS = {}  # one ThreadPoolExecutor per thread cap
 _WORKSPACE = threading.local()
 
 
@@ -115,6 +117,9 @@ def _resolve_threads():
 
 
 def _pool(threads):
+    # imported here, so that a process that runs inline never loads the pool
+    from concurrent.futures import ThreadPoolExecutor
+
     pool = _POOLS.get(threads)
     if pool is None:  # a racing caller's spare executor never starts a thread
         pool = _POOLS.setdefault(threads, ThreadPoolExecutor(max_workers=threads))
@@ -182,24 +187,40 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
     reserve_and_stat = {name: (reserve if rma else 0.0, stat) for name, (stat, rma) in _COLUMNS.items()}
     declared = [[(width, *reserve_and_stat[name]) for name, width in row.items()] for row in rows]
 
+    def buffer_rows(row):
+        # the row buffer's size in rows of a batch's trials: `_select`'s copy
+        # of the widest width, spare row and registers, or after it the
+        # statistics and `_second_price`'s rows
+        revenue = any(stat for _, _, stat in row)
+        return max(max(w for w, _, _ in row) + 1 + t, len(row) + 2) + revenue
+
     def columns(flat, trials, row):
-        # a frame of its own: the selections and the unused statistics are
-        # freed on return, before the columns are stacked
+        # a frame of its own: the selections are freed on return, before the
+        # moments are taken
         widths = {w for w, _, _ in row}
         n = max(widths)
         revenue = any(stat for _, _, stat in row)
-        stacks = _select(flat[: trials * n].reshape(trials, n), t + revenue, dist.quantile, widths)
-        rules = dict.fromkeys((w, r) for w, r, _ in row)  # distinct, in declared order
-        priced = {(w, r): _second_price(stacks[w], t, r, revenue) for w, r in rules}
-        return [priced[w, r][stat] for w, r, stat in row]
+        buffer = _workspace("row", buffer_rows(row) * trials)
+        stacks = _select(flat[: trials * n].reshape(trials, n), t + revenue, dist.quantile, widths, buffer)
+        # `_select` is done with the buffer: the statistics take it over
+        stats = buffer[: len(row) * trials].reshape(trials, len(row))
+        out = buffer[len(row) * trials : (len(row) + 2 + revenue) * trials].reshape(2 + revenue, trials)
+        for w, r in dict.fromkeys((w, r) for w, r, _ in row):  # distinct, in declared order
+            priced = _second_price(stacks[w], t, r, revenue, out)
+            for i, column in enumerate(row):
+                if column[:2] == (w, r):  # computed contiguously, then copied into its column
+                    stats[:, i] = priced[column[2]]
+        return stats
 
     def one(b):
         trials = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
         size = trials * widest
         flat = _batch_uniforms(seed, b, size, out=_workspace("draw", size))
+        # the row buffer at its largest first, so it grows at most once a call
+        _workspace("row", max(map(buffer_rows, declared)) * trials)
         out = []
         for row in declared:
-            stats = np.column_stack(columns(flat, trials, row))
+            stats = columns(flat, trials, row)
             # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop;
             # a square past float64's range is refused by name in `_estimate`
             with np.errstate(over="ignore"):
@@ -256,7 +277,7 @@ def _ratio(s1, s2, n, num, den, name) -> Estimate:
     return Estimate(value=float(ratio), std_err=math.sqrt(max(0.0, var_ratio)))
 
 
-def _select(u, depth, quantile, widths):
+def _select(u, depth, quantile, widths, buffer):
     """Per prefix `u[:, :w]` of the uniforms, its value stack: each row's
     min(depth, w) highest values, highest first, stacked as rows, so value
     i of every trial is the contiguous row `values[i]`.
@@ -269,18 +290,23 @@ def _select(u, depth, quantile, widths):
     same bits at any depth. `quantile` is nondecreasing, so it maps the
     registers onto the values' top `depth`, and only those rows are mapped.
 
-    The pass allocates nothing per column. It walks a transposed copy of
-    `u` kept in this thread's workspace, so `u` is never written and a call
-    allocates only one spare row and its stacks. Each compare-exchange
-    writes the larger value into the spare row, which then trades places
-    with the register it replaces, and the smaller back into the incoming
-    column's own row; a new register is that row. Each width gets a fresh
-    stack, since `quantile` may return its input, and no stack aliases the
-    workspace, which the thread's next call overwrites.
+    A call allocates nothing but what `quantile` returns. It works in
+    `buffer`, a float64 array of at least n + 1 + depth rows of `len(u)`
+    for the n columns of `u`: `_estimates` passes this thread's row buffer,
+    which it then hands to the row's statistics. The pass walks a
+    transposed copy of `u` there, so `u` is never written. Each
+    compare-exchange writes the larger value into a spare row, which then
+    trades places with the register it replaces, and the smaller back into
+    the incoming column's own row; a new register is that row. At each
+    width the registers are stacked after the spare row, and `quantile`
+    maps that stack to the width's values. A `quantile` may return its
+    input, and then the width gets a copy: no stack aliases `buffer`, which
+    the next width and the buffer's next user overwrite.
     """
+    trials, n = u.shape
     regs, stacks = [], {}
-    spare = np.empty(len(u))
-    columns = _workspace("columns", u.size).reshape(u.shape[::-1])
+    columns = buffer[: n * trials].reshape(n, trials)
+    spare = buffer[n * trials : (n + 1) * trials]
     np.copyto(columns, u.T)
     for j, x in enumerate(columns, 1):
         for i, reg in enumerate(regs):
@@ -293,16 +319,22 @@ def _select(u, depth, quantile, widths):
         else:  # fewer columns seen than registers: x is the lowest so far
             regs.append(x)
         if j in widths:
-            stacks[j] = quantile(np.stack(regs))
+            stack = buffer[(n + 1) * trials : (n + 1 + len(regs)) * trials].reshape(len(regs), trials)
+            values = quantile(np.stack(regs, out=stack))
+            stacks[j] = values.copy() if np.may_share_memory(values, buffer) else values
     return stacks
 
 
-def _second_price(values, t, reserve, revenue):
+def _second_price(values, t, reserve, revenue, out):
     """Per-trial efficiency, and revenue if `revenue`, when the top t bidders
     of a value stack at or above the reserve (0 for EMA) win and pay
     max(reserve, runner-up). The winners are `values[:t]`; the runner-up is
     `values[t]`, or 0 when the stack has t rows or fewer, and is read only
-    for revenue, which is None otherwise.
+    for revenue, which is None otherwise. The results are rows of `out`, a
+    float64 array of 2 + `revenue` rows as long as the stack's: efficiency
+    in row 0, revenue in row 1, which until then holds each masked product,
+    and the winner count in row 2. A one-winner EMA result is instead a view
+    of its input row, the one place its values already are.
 
     The winners are added row by row, highest first, in `auctions`' order
     for every t; numpy's sum over the rows would add 8 or more terms
@@ -311,30 +343,38 @@ def _second_price(values, t, reserve, revenue):
     `np.where(cleared, value, 0.0)` bit for bit. At reserve 0 (EMA) that
     premise makes every winner clear, so the masks are skipped: efficiency
     is the plain highest-first sum and revenue the runner-up times the
-    winner count, the same bits as the masked form. A one-row result may be
-    a view of the input."""
+    winner count, the same bits as the masked form. Every operation writes
+    into `out` what a fresh array would hold, bit for bit."""
+    eff, rev = out[0], out[1]
     winners = iter(values[:t])
     value = next(winners)
     if reserve == 0.0:
         won = min(t, len(values))
-        eff = value if won == 1 else value + next(winners)
+        eff = value if won == 1 else np.add(value, next(winners), out=eff)
         for value in winners:
             eff += value
     else:
         cleared = value >= reserve
-        eff = value * cleared
-        won = cleared.astype(float) if revenue else None
+        np.multiply(value, cleared, out=eff)
+        if revenue:
+            won = out[2]
+            np.copyto(won, cleared)
         for value in winners:
             cleared = value >= reserve
-            eff += value * cleared
+            eff += np.multiply(value, cleared, out=rev)
             if revenue:
                 won += cleared
     if not revenue:
         return eff, None
-    runner_up = values[t] if len(values) > t else np.zeros(values.shape[1])
+    if len(values) > t:
+        runner_up = values[t]
+    else:  # no runner-up bids: it counts as 0
+        runner_up = rev
+        runner_up.fill(0.0)
     if reserve == 0.0:
-        return eff, runner_up if won == 1 else runner_up * float(won)
-    return eff, won * np.maximum(reserve, runner_up)
+        return eff, runner_up if won == 1 else np.multiply(runner_up, float(won), out=rev)
+    np.maximum(reserve, runner_up, out=rev)
+    return eff, np.multiply(won, rev, out=rev)
 
 
 def estimate_mechanism(

@@ -764,3 +764,23 @@ def test_bounds_report_at_benchmark_size_equals_oracles(tmp_path):
     assert (tmp_path / "bounds.csv").read_text(encoding="utf-8") == csv_per_cell(rows)
     want = json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "bounds.json").read_text(encoding="utf-8") == want
+
+
+def test_one_thread_run_never_imports_the_pool(tmp_path):
+    # `simulate` imports the thread pool where it first starts one: a whole
+    # Monte Carlo run capped at one thread never loads `concurrent.futures`
+    # (nor the `logging` and `queue` it pulls in); a run on two threads does
+    code = (
+        "import sys\n"
+        "from mecheff.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('concurrent.futures' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    for cap, loaded in (("1", "False"), ("2", "True")):
+        argv = ["ratio", "--k", "1..2", "--n", "200", "--out", str(tmp_path / f"ratio{cap}")]
+        env = {**os.environ, "MECH_EFF_THREADS": cap}
+        command = [sys.executable, "-c", code, *argv]
+        child = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == loaded

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,14 +312,20 @@ def tie_heavy_batch(draw):
     return dist.quantile(np.array(u)), t, dist.r
 
 
+def row_buffer(u, depth):
+    """A buffer of the n + 1 + depth rows `_select` works in for a matrix `u`
+    of n columns, filled with NaN."""
+    return np.full((u.shape[1] + 1 + depth) * len(u), np.nan)
+
+
 @given(tie_heavy_batch())
 @settings(max_examples=300, deadline=None)
 def test_batched_stats_match_per_bid_auctions(batch):
     values, t, reserve = batch
     # the bids are their own quantile
-    [stack] = _select(values, t + 1, lambda v: v, {values.shape[1]}).values()
-    eff_e, rev_e = _second_price(stack, t, 0.0, True)
-    eff_r, rev_r = _second_price(stack, t, reserve, True)
+    [stack] = _select(values, t + 1, lambda v: v, {values.shape[1]}, row_buffer(values, t + 1)).values()
+    eff_e, rev_e = _second_price(stack, t, 0.0, True, np.full((3, len(values)), np.nan))
+    eff_r, rev_r = _second_price(stack, t, reserve, True, np.full((3, len(values)), np.nan))
     for i, bids in enumerate(values.tolist()):
         e, r = auctions.ema(bids, t), auctions.rma(bids, t, reserve)
         assert eff_e[i] == e.efficiency and rev_e[i] == e.revenue
@@ -363,7 +370,8 @@ def test_second_price_mask_multiply_matches_where(block):
     # 0 (EMA) every value clears and the masks are skipped
     values, t, reserve = block
     for r in (reserve, 0.0):
-        for ours, ref in zip(_second_price(values, t, r, True), second_price_where(values, t, r)):
+        out = np.full((3, values.shape[1]), np.nan)
+        for ours, ref in zip(_second_price(values, t, r, True, out), second_price_where(values, t, r)):
             assert ours.tobytes() == ref.tobytes()
             assert not np.signbit(ours).any()  # no -0.0
 
@@ -375,9 +383,10 @@ def test_second_price_without_runner_up_is_the_full_rules_efficiency(block):
     # efficiency is the full rule's, bit for bit, with and without a reserve
     values, t, reserve = block
     for r in (0.0, 1.0, reserve):
-        eff, rev = _second_price(values[:t], t, r, False)
+        out = np.full((5, values.shape[1]), np.nan)
+        eff, rev = _second_price(values[:t], t, r, False, out[:2])
         assert rev is None
-        assert eff.tobytes() == _second_price(values, t, r, True)[0].tobytes()
+        assert eff.tobytes() == _second_price(values, t, r, True, out[2:])[0].tobytes()
 
 
 @pytest.mark.parametrize("c", range(2, 9))
@@ -433,7 +442,7 @@ def test_uniform_space_selection_matches_sorted_values(case):
     # top t come highest first, then the runner-up, absent when n <= t
     dist, u, t = case
     n = u.shape[1]
-    [stack] = _select(u, t + 1, dist.quantile, {n}).values()
+    [stack] = _select(u, t + 1, dist.quantile, {n}, row_buffer(u, t + 1)).values()
     values = np.sort(np.asarray(dist.quantile(u)), axis=1)
     assert np.array_equal(stack[:t].T, values[:, ::-1][:, :t])
     assert np.array_equal(stack[t:].T, values[:, ::-1][:, t : t + 1])
@@ -453,10 +462,11 @@ def prefix_widths(draw):
 def test_prefix_selection_equals_selecting_the_prefix(case):
     # one pass over the columns yields every prefix's selection, bit for bit
     dist, u, t, widths = case
-    stacks = _select(u, t + 1, dist.quantile, widths)
+    buffer = row_buffer(u, t + 1)
+    stacks = _select(u, t + 1, dist.quantile, widths, buffer)
     assert stacks.keys() == widths
     for w, stack in stacks.items():
-        [alone] = _select(u[:, :w], t + 1, dist.quantile, {w}).values()
+        [alone] = _select(u[:, :w], t + 1, dist.quantile, {w}, buffer).values()
         assert stack.shape == alone.shape == (min(w, t + 1), len(u))
         assert np.array_equal(stack[:t], alone[:t])
         assert np.array_equal(stack[t:], alone[t:])
@@ -484,7 +494,7 @@ def test_in_place_registers_select_like_a_sort(quantile, case):
     # sort's, bit for bit, u is left as it was, and no two widths share memory
     u, t, widths = case
     before = u.copy()
-    stacks = _select(u, t + 1, quantile, widths)
+    stacks = _select(u, t + 1, quantile, widths, row_buffer(u, t + 1))
     assert u.tobytes() == before.tobytes()
     for w, stack in stacks.items():
         desc = np.sort(np.asarray(quantile(u[:, :w])), axis=1)[:, ::-1]
@@ -503,9 +513,10 @@ def test_selection_without_runner_up_is_the_top_of_the_full_one(quantile, case):
     # no two widths share memory
     u, t, widths = case
     before = u.copy()
-    stacks = _select(u, t, quantile, widths)
+    buffer = row_buffer(u, t + 1)
+    stacks = _select(u, t, quantile, widths, buffer)
     assert u.tobytes() == before.tobytes()
-    full = _select(u, t + 1, quantile, widths)
+    full = _select(u, t + 1, quantile, widths, buffer)
     assert stacks.keys() == full.keys() == widths
     for w, stack in stacks.items():
         assert stack.shape == full[w][:t].shape == (min(w, t), len(u))  # no runner-up row
@@ -588,8 +599,9 @@ def dispatch_digest():
             permuted = np.ascontiguousarray(u[:, np.random.default_rng(n).permutation(n)])
             stats = []
             for cols in (u, permuted):
-                [stack] = _select(cols, t + 1, dist.quantile, {n}).values()
-                stats.append((*_second_price(stack, t, 0.0, True), *_second_price(stack, t, r, True)))
+                [stack] = _select(cols, t + 1, dist.quantile, {n}, row_buffer(cols, t + 1)).values()
+                out = np.full((2, 3, 4096), np.nan)
+                stats.append((*_second_price(stack, t, 0.0, True, out[0]), *_second_price(stack, t, r, True, out[1])))
             assert all(np.array_equal(a, b) for a, b in zip(*stats)), (dist, n, t)
             h.update(b"".join(stat.tobytes() for stat in stats[0]))
     return h.hexdigest()
@@ -740,3 +752,82 @@ def test_forked_child_does_not_use_the_inherited_pool(monkeypatch):
             pytest.fail("the forked child's call hung")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+class UniformReturningInput(Uniform):
+    """Uniform(0, 1) whose quantile returns its input, as the contract allows."""
+
+    def quantile(self, u):
+        return u
+
+
+def test_quantile_returning_its_input_gives_the_same_bits(monkeypatch):
+    # each width's registers are stacked in a pool thread's row buffer, which
+    # such a quantile hands back; bk's rows select two widths, and then the
+    # statistics take the buffer over, so a stack left in it would be
+    # overwritten before it is priced
+    monkeypatch.setenv("MECH_EFF_THREADS", "2")
+    n = BATCH_TRIALS + 77
+    returning, uniform = UniformReturningInput(), Uniform(hi=1.0)
+    u = np.full(3, 0.25)
+    assert returning.quantile(u) is u and uniform.quantile(u).tolist() == u.tolist()
+    assert revenue_compare_bk(returning, [1, 2, 7], n, seed=9) == revenue_compare_bk(uniform, [1, 2, 7], n, seed=9)
+
+
+def traced_peak(call):
+    """Bytes a call holds at its tracemalloc peak, beyond what was held
+    before it."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    call()
+    return tracemalloc.get_traced_memory()[1] - before
+
+
+WARM_SCANS = {  # name: (distribution, registers per stack, each row's widths, the scan at n trials)
+    "ratio": (Exponential(1.0), 2, [{k} for k in range(1, 11)], lambda d, n: efficiency_ratio(d, range(1, 11), n, 3)),
+    "bk": (
+        Uniform(hi=1.0),
+        2,
+        [{k, k + 1} for k in range(1, 6)],
+        lambda d, n: revenue_compare_bk(d, range(1, 6), n, 3),
+    ),
+    "thm2": (
+        GFamily(phi=ALPHA, r=1.0),
+        1,
+        [{k, k + 2} for k in range(3, 9)],
+        lambda d, n: paired_compare(d, [(k, 2) for k in range(3, 9)], 1, n, 3),
+    ),
+    "thm3": (Exponential(1.0), 2, [{20, 38}], lambda d, n: paired_compare(d, [(20, 18)], 2, n, 3)),
+}
+
+
+@pytest.mark.parametrize("name", WARM_SCANS)
+def test_warm_scan_allocates_little_beyond_its_quantile_outputs(monkeypatch, name):
+    # After a warm-up call every large temporary of a one-thread batch lives
+    # in the workspace, except what `quantile` returns. A row holds one output
+    # per width until it is priced, and a `quantile` call its own
+    # temporaries on top (G's second branch): measured here, per stack size.
+    # The slack is numpy's own: the ufunc buffer in which a winner mask is
+    # cast to float64 (np.getbufsize() doubles), two live masks of one byte
+    # per trial, and 32 KiB of small objects.
+    dist, depth, rows, scan = WARM_SCANS[name]
+    monkeypatch.setenv("MECH_EFF_THREADS", "1")
+    n = 4 * BATCH_TRIALS
+    scan(dist, n)
+    heights = {min(depth, w) for widths in rows for w in widths}
+    stacks = {h: _batch_uniforms(0, 0, (h, BATCH_TRIALS)) for h in heights}
+    output = {h: stacks[h].nbytes for h in heights}
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        temporaries = {h: traced_peak(lambda: dist.quantile(stacks[h])) - output[h] for h in heights}
+        peak = traced_peak(lambda: scan(dist, n))
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    slack = 8 * np.getbufsize() + 2 * BATCH_TRIALS + (32 << 10)
+    bound = slack + max(
+        sum(output[min(depth, w)] for w in widths) + max(temporaries[min(depth, w)] for w in widths)
+        for widths in rows
+    )
+    assert peak <= bound, f"{name}: {peak >> 10} KiB at the peak, {bound >> 10} KiB allowed"
