@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Run the full battery of named experiments and collect CSV/JSON reports.
 
-Smoke scale by default (1e6 trials); pass --full for the 1e7-trial runs the
-strict-loss experiment wants. Each job lands in <outdir>/<name>.csv and
-<outdir>/<name>.json, where <name> is the experiment's, or gainloss_<family>
-for gainloss on the uniform and extremal families; the script prints one
-`<sha256>  <name>.<ext>` line per report, as `sha256sum` would from inside
-<outdir>, and exits nonzero if any experiment's asserted inequalities fail.
+Every Monte Carlo job runs 1e6 trials. Each job lands in <outdir>/<name>.csv
+and <outdir>/<name>.json, where <name> is the experiment's, or
+gainloss_<family> for gainloss on the uniform and extremal families; the
+script prints one `<sha256>  <name>.<ext>` line per report, as `sha256sum`
+would from inside <outdir>, and exits nonzero if any experiment's asserted
+inequalities fail.
 Two runs wrote the same bytes when those lines match, e.g. under
 MECH_EFF_THREADS=1 and =2, or against two source trees.
 
 Usage:
-    python scripts/run_experiments.py --outdir results [--full] [--seed N]
+    python scripts/run_experiments.py --outdir results [--seed N]
 """
 
 import argparse
@@ -22,26 +22,26 @@ from pathlib import Path
 from mecheff.cli import main as cli_main
 
 
-def jobs(outdir, seed, n_smoke, n_big):
+def jobs(outdir, seed, n):
     """The `mech-eff` argv of each job in the battery, in run order."""
     battery = {
         "bounds": ["bounds", "--k", "1..100"],
         "gainloss": ["gainloss", "--dist", "exponential:1", "--k", "1..8"],
         "gainloss_uniform": ["gainloss", "--dist", "uniform:1", "--k", "1..8"],
         "gainloss_g": ["gainloss", "--dist", "g:0.63:1", "--k", "1..8"],
-        "thm1": ["thm1", "--dist", "exponential:1", "--k", "1,2,5,10", "--n", str(n_smoke)],
-        "thm2": ["thm2", "--k", "3..8", "--n", str(n_big)],
-        "thm3": ["thm3", "--dist", "exponential:1", "--k", "20", "--t", "2", "--n", str(n_smoke)],
+        "thm1": ["thm1", "--dist", "exponential:1", "--k", "1,2,5,10", "--n", str(n)],
+        "thm2": ["thm2", "--k", "3..8", "--n", str(n)],
+        "thm3": ["thm3", "--dist", "exponential:1", "--k", "20", "--t", "2", "--n", str(n)],
         "regular_cx": ["regular_cx", "--k", "1..5", "--m", "1..10"],
-        "ratio": ["ratio", "--dist", "exponential:1", "--k", "1..10", "--n", str(n_smoke)],
-        "bk": ["bk", "--dist", "uniform:1", "--k", "1..5", "--n", str(n_smoke)],
+        "ratio": ["ratio", "--dist", "exponential:1", "--k", "1..10", "--n", str(n)],
+        "bk": ["bk", "--dist", "uniform:1", "--k", "1..5", "--n", str(n)],
     }
     return [job + ["--seed", str(seed), "--out", f"{outdir}/{name}"] for name, job in battery.items()]
 
 
-def run(outdir, seed, n_smoke, n_big):
+def run(outdir, seed, n):
     failures = []
-    for args in jobs(outdir, seed, n_smoke, n_big):
+    for args in jobs(outdir, seed, n):
         rc = cli_main(args)
         prefix = args[args.index("--out") + 1]
         if rc != 0:
@@ -57,12 +57,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results")
     ap.add_argument("--seed", type=int, default=20240811)
-    ap.add_argument("--full", action="store_true", help="1e7 trials for the strict-loss runs")
     args = ap.parse_args()
 
-    n_smoke = 1_000_000
-    n_big = 10_000_000 if args.full else n_smoke
-    failures = run(args.outdir, args.seed, n_smoke, n_big)
+    failures = run(args.outdir, args.seed, 1_000_000)
     if failures:
         print(f"failed experiments: {failures}", file=sys.stderr)
         return 1

@@ -80,7 +80,8 @@ def _tail_series(x, k: int):
 
 
 def _quadrature_tol(r: float) -> float:
-    """1e-10 * max(1, r): an integral over [0, r] rounds at about 1e-16 * r."""
+    """The library's one quadrature tolerance, 1e-10 * max(1, r): an
+    integral over [0, r] rounds at about 1e-16 * r."""
     return 1e-10 * max(1.0, r)
 
 
@@ -282,7 +283,7 @@ class Counterexample(NamedTuple):
 
 
 def regular_counterexample_search(
-    k: int, m: int | Sequence[int], r: float = 1.0, margin: float = 0.0
+    k: int, m: int | Sequence[int], r: float, margin: float = 0.0
 ) -> Counterexample | tuple[Counterexample, ...]:
     """Find eps so the capped heavy-tail family loses more below the cap
     than m extra bidders can recover: Loss(eps) > Gain(eps) + margin.

@@ -61,7 +61,7 @@ def ema(bids: Sequence[float], t: int = 1) -> AuctionOutcome:
     return _second_price(bids, t, 0.0)
 
 
-def rma(bids: Sequence[float], t: int = 1, reserve: float = 1.0) -> AuctionOutcome:
+def rma(bids: Sequence[float], t: int, reserve: float) -> AuctionOutcome:
     """Sell up to t items among bids >= reserve at max(reserve, (t+1)-th bid).
 
     The (t+1)-th highest bid is taken over all bids; when fewer than t+1

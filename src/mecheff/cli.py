@@ -188,22 +188,26 @@ def _csv_line(row) -> str:
 _CSV_SPECIAL = frozenset(',"\r\n')
 
 
+def _table(template, sep, cells) -> str:
+    """`template`, one row with a `%s` per column, repeated once per row
+    and joined by `sep`, then filled by one `%` with the cells of `cells`,
+    its columns in the template's order, in row order. The cells are the
+    format's arguments, so a `%` in a cell has no effect, and an exact int
+    stands as its own text; columns of unequal length raise ValueError."""
+    args = tuple(chain.from_iterable(zip(*cells, strict=True)))
+    return sep.join([template] * (len(args) // len(cells))) % args
+
+
 def _columns_to_csv(columns, int_columns) -> str:
     """The columns as CSV rows under a header of their names, every cell as
-    `_fmt` writes it and csv.writer quotes it.
-
-    The rows are laid out by one `%` format: a row template of one `%s`
-    per column, repeated once per row, applied to the flat tuple of every
-    cell in row order. The cells are its arguments, never part of the
-    template, so a `%` in them has no effect; the header, csv.writer's
-    line for the names, goes before the rows. A column named in
-    `int_columns` (see `_int_columns`) goes in as it is, since `%s` prints
-    an int as `str`, as `_fmt` and csv.writer do; any other cell goes
-    through `_fmt`. The csv module decides every quote: a cell that holds
-    no comma, double quote, carriage return or line feed, and is not the
-    lone field of a row, goes in as it is, as csv.writer writes such a
+    `_fmt` writes it and csv.writer quotes it: csv.writer's line for the
+    names, then the rows laid out by `_table`. A column named in
+    `int_columns` (see `_int_columns`) goes in as it is; any other cell
+    goes through `_fmt`. The csv module decides every quote: a cell that
+    holds no comma, double quote, carriage return or line feed, and is not
+    the lone field of a row, goes in as it is, as csv.writer writes such a
     cell; any other cell takes csv.writer's text. There must be at least
-    one column; columns of unequal length raise ValueError.
+    one column.
     """
     lone = len(columns) == 1
 
@@ -214,9 +218,7 @@ def _columns_to_csv(columns, int_columns) -> str:
         return _csv_line([cell])[:-1]
 
     cells = [v if name in int_columns else list(map(text, v)) for name, v in columns.items()]
-    args = tuple(chain.from_iterable(zip(*cells, strict=True)))
-    row = ",".join(["%s"] * len(columns)) + "\n"
-    return _csv_line(columns) + (row * (len(args) // len(columns))) % args
+    return _csv_line(columns) + _table(",".join(["%s"] * len(columns)) + "\n", "", cells)
 
 
 def _summary_json(head, columns, int_columns) -> str:
@@ -224,20 +226,17 @@ def _summary_json(head, columns, int_columns) -> str:
     byte, where row i maps each column name to the column's i-th value.
 
     With `indent` set, json encodes in pure Python, which costs most of a
-    100,000-row report. So the rows are laid out here, by one `%` format:
-    a row template, repeated once per row, applied to the flat tuple of
-    every cell in row order. The template holds the column names, encoded
-    by json and `%`-escaped; the cells are its arguments, never part of the
-    template, so a `%` in them has no effect. A column named in
-    `int_columns` (see `_int_columns`) goes in as it is, since `%s` prints
-    an int as `str`, which is json's text for it. Any other column is encoded by one call to json's C encoder,
-    with a newline between values, and split back into its cells at the
-    line breaks, since json (ASCII-only by default) escapes every line
-    break inside a string. Every nonempty list or dict of scalars in
-    `head` is encoded by the C encoder too, with the newline and padding
-    of its depth put into `separators`. Any other list or dict is laid out
-    here around its encoded entries; its keys must be strings. There must
-    be at least one row; columns of unequal length raise ValueError.
+    100,000-row report. So the rows are laid out here by `_table`, with a
+    row template that holds the column names, encoded by json and
+    `%`-escaped. A column named in `int_columns` (see `_int_columns`) goes
+    in as it is, which is json's text for an int. Any other column is
+    encoded by one call to json's C encoder, with a newline between values,
+    and split back into its cells at the line breaks, since json
+    (ASCII-only by default) escapes every line break inside a string. Every
+    nonempty list or dict of scalars in `head` is encoded by the C encoder
+    too, with the newline and padding of its depth put into `separators`.
+    Any other list or dict is laid out here around its encoded entries; its
+    keys must be strings. There must be at least one row.
     """
     containers = (list, tuple, dict)
 
@@ -269,9 +268,7 @@ def _summary_json(head, columns, int_columns) -> str:
             return columns[name]
         return json.dumps(columns[name], separators=("\n", ": "))[1:-1].splitlines()
 
-    cells = [texts(name) for name in names]
-    args = tuple(chain.from_iterable(zip(*cells, strict=True)))
-    rows = ",\n".join([row_format] * (len(args) // len(names))) % args
+    rows = _table(row_format, ",\n", [texts(name) for name in names])
     entries = {key: encode(value, "  ") for key, value in head.items()}
     entries["rows"] = f"[\n{rows}\n  ]"
     body = ",\n  ".join(f"{json.dumps(key)}: {text}" for key, text in sorted(entries.items()))
@@ -410,7 +407,7 @@ def _run_regular_cx(cfg, dist):
         grid = capped.quantile(grid_u)
         psi = virtual_value(capped, grid[grid < r])
         regular_ok.append(bool(np.all(psi[1:] >= psi[:-1] - 1e-9)))
-        mhr_violated.append(not mhr_check(capped, 256).is_mhr)
+        mhr_violated.append(not mhr_check(capped).is_mhr)
     columns = {
         "k": [k for k in cfg.k for _ in ms],
         "m": ms * len(cfg.k),

@@ -57,7 +57,7 @@ def adaptive_simpson(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: float = 1e-10,
+    tol: float,
     breakpoints: Iterable[float] = (),
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
@@ -82,7 +82,7 @@ def simpson_sweep(
     n: int,
     a: float,
     b: float,
-    tol: float = 1e-10,
+    tol: float,
     breakpoints: Iterable[float] = (),
 ) -> tuple[float, ...]:
     """`adaptive_simpson` of n integrands over one [a, b], bit for bit.

@@ -47,11 +47,11 @@ process (a forked child drops the ones it inherits, whose threads it does
 not have), and a cap of 1 runs the batches inline, in order, on the
 calling thread. Each thread that runs batches keeps a workspace of two
 64-byte-aligned buffers, each grown to the largest size asked of it and
-then reused: the batch's draw, and a row's buffer, which holds `_select`'s
-transposed copy, spare row and register stack, and then `_second_price`'s
-rows and the matrix of the row's columns. So a warm batch's only large
-allocations are what `quantile` returns, and no row temporary goes back
-to the allocator to be fetched again.
+then reused: the batch's draw, and the row buffer, which each row in turn
+fills with `_select`'s transposed copy, spare row and register stack, and
+then `_second_price`'s rows and the matrix of its columns. So a warm
+batch's only large allocations are what `quantile` returns, and no row
+temporary goes back to the allocator to be fetched again.
 
 The bytes are fixed per numpy build, SIMD dispatch and BLAS kernel: the
 `Exponential` and `GFamily` quantiles use numpy's SIMD `log`/`exp`. Each
@@ -194,13 +194,12 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
         revenue = any(stat for _, _, stat in row)
         return max(max(w for w, _, _ in row) + 1 + t, len(row) + 2) + revenue
 
-    def columns(flat, trials, row):
+    def columns(flat, trials, row, buffer):
         # a frame of its own: the selections are freed on return, before the
         # moments are taken
         widths = {w for w, _, _ in row}
         n = max(widths)
         revenue = any(stat for _, _, stat in row)
-        buffer = _workspace("row", buffer_rows(row) * trials)
         stacks = _select(flat[: trials * n].reshape(trials, n), t + revenue, dist.quantile, widths, buffer)
         # `_select` is done with the buffer: the statistics take it over
         stats = buffer[: len(row) * trials].reshape(trials, len(row))
@@ -216,11 +215,11 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
         trials = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
         size = trials * widest
         flat = _batch_uniforms(seed, b, size, out=_workspace("draw", size))
-        # the row buffer at its largest first, so it grows at most once a call
-        _workspace("row", max(map(buffer_rows, declared)) * trials)
+        # one buffer for every row, at the largest, so it grows at most once a call
+        buffer = _workspace("row", max(map(buffer_rows, declared)) * trials)
         out = []
         for row in declared:
-            stats = columns(flat, trials, row)
+            stats = columns(flat, trials, row, buffer)
             # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop;
             # a square past float64's range is refused by name in `_estimate`
             with np.errstate(over="ignore"):

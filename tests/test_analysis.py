@@ -130,14 +130,14 @@ class EvaluatorOnlyWeibull(ValueDistribution):
     reserve, so loss_numeric bisects for it."""
 
     def cdf(self, x):
-        return -np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0) ** 2)
+        return -np.expm1(-np.maximum(x, 0.0) ** 2)
 
     def pdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        x = np.maximum(x, 0.0)
         return 2.0 * x * np.exp(-(x**2))
 
     def quantile(self, u):
-        return np.sqrt(-np.log1p(-np.asarray(u, dtype=float)))
+        return np.sqrt(-np.log1p(-u))
 
 
 SWEEP_DISTS = [
@@ -609,7 +609,7 @@ def test_quadrature_returns_and_scales_at_large_r(monkeypatch):
     unit = loss_numeric(GFamily(phi=0.5, r=1.0), [1, 2])
     for loss, unit_loss in zip(loss_numeric(GFamily(phi=0.5, r=r), [1, 2]), unit):
         assert loss / r == pytest.approx(unit_loss, rel=1e-8)
-    cx, unit_cx = regular_counterexample_search(2, 3, r=r), regular_counterexample_search(2, 3)
+    cx, unit_cx = regular_counterexample_search(2, 3, r=r), regular_counterexample_search(2, 3, 1.0)
     assert cx.eps == r * unit_cx.eps
     assert cx.loss / r == pytest.approx(unit_cx.loss, rel=1e-8)
 
@@ -622,8 +622,8 @@ def test_counterexample_sweep_equals_per_m_calls():
         for hit, m in zip(found, ms):
             assert hit.loss == analysis.loss_p_unconditional(hit.eps, r, k)
             assert hit.gain == analysis.gain(r / (r + hit.eps), r, m)
-    assert regular_counterexample_search(2, range(1, 4)) == regular_counterexample_search(2, [1, 2, 3])
-    assert regular_counterexample_search(2, np.int64(3)) == regular_counterexample_search(2, 3)
+    assert regular_counterexample_search(2, range(1, 4), 1.0) == regular_counterexample_search(2, [1, 2, 3], 1.0)
+    assert regular_counterexample_search(2, np.int64(3), 1.0) == regular_counterexample_search(2, 3, 1.0)
 
 
 def test_counterexample_sweep_computes_each_eps_once(monkeypatch):
@@ -646,7 +646,7 @@ def test_counterexample_sweep_raises_for_the_first_failing_m():
     with pytest.raises(SearchExhausted, match=r"k=1, m=13, r=1.0$"):
         regular_counterexample_search(1, [4, 13, 12], 1.0, margin=1e-6)
     with pytest.raises(ValueError):
-        regular_counterexample_search(1, [2, 0])
+        regular_counterexample_search(1, [2, 0], 1.0)
 
 
 def test_counterexample_distribution_is_regular_not_mhr():

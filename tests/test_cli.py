@@ -512,7 +512,7 @@ def battery_script():
 def test_battery_jobs_parse(tmp_path):
     # every argv of scripts/run_experiments.py builds its config without running
     # and writes its own reports; gainloss runs on every family the benchmark runs it on
-    jobs = battery_script().jobs(tmp_path, 7, 1000, 2000)
+    jobs = battery_script().jobs(tmp_path, 7, 1000)
     assert {job[0] for job in jobs} == set(cli._EXPERIMENTS) - {"reserve"}
     outs = [argv[argv.index("--out") + 1] for argv in jobs]
     assert len(set(outs)) == len(outs)
@@ -530,9 +530,9 @@ def test_battery_prints_each_reports_sha256(tmp_path, capsys):
     # one `sha256sum`-style line per report written, in run order, so two
     # runs wrote the same bytes exactly when those lines match
     script = battery_script()
-    failures = script.run(tmp_path, 7, 2000, 2000)
+    failures = script.run(tmp_path, 7, 2000)
     lines = [line.split("  ") for line in capsys.readouterr().out.splitlines() if "->" not in line]
-    names = [Path(job[job.index("--out") + 1]).name for job in script.jobs(tmp_path, 7, 2000, 2000)]
+    names = [Path(job[job.index("--out") + 1]).name for job in script.jobs(tmp_path, 7, 2000)]
     assert [name for _, name in lines] == [f"{n}.{ext}" for n in names for ext in ("csv", "json")]
     for digest, name in lines:
         assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

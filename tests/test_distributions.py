@@ -55,13 +55,13 @@ class NoClosedFormExp(ValueDistribution):
         self.scale = scale
 
     def cdf(self, x):
-        return -np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale)
+        return -np.expm1(-np.maximum(x, 0.0) / self.scale)
 
     def pdf(self, x):
-        return np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0) / self.scale) / self.scale
+        return np.exp(-np.maximum(x, 0.0) / self.scale) / self.scale
 
     def quantile(self, u):
-        return -self.scale * np.log1p(-np.asarray(u, dtype=float))
+        return -self.scale * np.log1p(-u)
 
 
 class AtomAtZero(ValueDistribution):
@@ -71,13 +71,12 @@ class AtomAtZero(ValueDistribution):
     atoms = ((0.0, 0.6),)
 
     def cdf(self, x):
-        return 0.6 - 0.4 * np.expm1(-np.maximum(np.asarray(x, dtype=float), 0.0))
+        return 0.6 - 0.4 * np.expm1(-np.maximum(x, 0.0))
 
     def pdf(self, x):
-        return 0.4 * np.exp(-np.maximum(np.asarray(x, dtype=float), 0.0))
+        return 0.4 * np.exp(-np.maximum(x, 0.0))
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
         return -np.log1p(-np.maximum(u - 0.6, 0.0) / 0.4)
 
 
@@ -104,15 +103,12 @@ class SubUnitHazard(ValueDistribution):
     """Pareto-type tail with x*h(x) = x/(2(1+x)) <= 1/2: no reserve exists."""
 
     def cdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return 1.0 - 1.0 / np.sqrt(1.0 + x)
+        return 1.0 - 1.0 / np.sqrt(1.0 + np.maximum(x, 0.0))
 
     def pdf(self, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return 0.5 * (1.0 + x) ** -1.5
+        return 0.5 * (1.0 + np.maximum(x, 0.0)) ** -1.5
 
     def quantile(self, u):
-        u = np.asarray(u, dtype=float)
         return (1.0 - u) ** -2.0 - 1.0
 
 

@@ -11,7 +11,7 @@ from mecheff.numerics import _MAX_DEPTH, adaptive_simpson, bisect, bracket_root,
 
 def test_simpson_exact_on_cubic():
     # Simpson integrates cubics exactly
-    assert adaptive_simpson(lambda x: x**3, 0.0, 2.0) == pytest.approx(4.0, abs=1e-13)
+    assert adaptive_simpson(lambda x: x**3, 0.0, 2.0, 1e-10) == pytest.approx(4.0, abs=1e-13)
 
 
 def test_simpson_exponential():
@@ -27,13 +27,13 @@ def test_simpson_kink_with_breakpoint():
 
 
 def test_simpson_ignores_outside_breakpoints():
-    val = adaptive_simpson(lambda x: x, 0.0, 1.0, breakpoints=[-3.0, 7.0])
+    val = adaptive_simpson(lambda x: x, 0.0, 1.0, 1e-10, breakpoints=[-3.0, 7.0])
     assert val == pytest.approx(0.5, abs=1e-12)
 
 
 def test_simpson_empty_interval():
-    assert adaptive_simpson(lambda x: 1.0, 1.0, 1.0) == 0.0
-    assert adaptive_simpson(lambda x: 1.0, 2.0, 1.0) == 0.0
+    assert adaptive_simpson(lambda x: 1.0, 1.0, 1.0, 1e-10) == 0.0
+    assert adaptive_simpson(lambda x: 1.0, 2.0, 1.0, 1e-10) == 0.0
 
 
 def test_simpson_peaked_integrand():
@@ -127,8 +127,8 @@ def test_sweep_that_never_converges_raises_within_its_budget():
 
 
 def test_sweep_of_nothing():
-    assert simpson_sweep(sweep_of([]), 0, 0.0, 1.0) == ()
-    assert simpson_sweep(sweep_of([math.exp] * 3), 3, 2.0, 1.0) == (0.0, 0.0, 0.0)
+    assert simpson_sweep(sweep_of([]), 0, 0.0, 1.0, 1e-10) == ()
+    assert simpson_sweep(sweep_of([math.exp] * 3), 3, 2.0, 1.0, 1e-10) == (0.0, 0.0, 0.0)
 
 
 def test_bisect_sqrt2():

@@ -186,6 +186,60 @@ def test_declared_column_is_one_estimate_in_every_estimator(dist, t):
             assert ratio[name] == alone[name]
 
 
+# each family on the value scale c, its unit member at c = 1
+SCALED_FAMILIES = {
+    "exponential": lambda c: Exponential(rate=1.0 / c),
+    "uniform": lambda c: Uniform(hi=c),
+    "g": lambda c: GFamily(phi=0.4, r=c, eps=1e-3 * c),
+    "p": lambda c: PFamily(eps=0.5 * c, r=c),
+}
+
+
+@pytest.mark.parametrize("j", [-7, 3, 20])
+@pytest.mark.parametrize("family", SCALED_FAMILIES)
+def test_estimates_scale_exactly_with_the_values(family, j):
+    # c = 2**j multiplies every value and every reserve exactly, so every
+    # mean and standard error is c times the unit family's, bit for bit, and
+    # every ratio keeps its bits
+    c = 2.0**j
+    unit, scaled = SCALED_FAMILIES[family](1.0), SCALED_FAMILIES[family](c)
+    assert scaled.reserve == c * unit.reserve
+    for run in (
+        lambda dist: paired_compare(dist, [(3, 2), (5, 0), (2, 4)], 2, 40_000, seed=5),
+        lambda dist: revenue_compare_bk(dist, [1, 3, 6], 40_000, seed=5),
+        lambda dist: efficiency_ratio(dist, [1, 3, 6], 40_000, seed=5),
+    ):
+        for row, unit_row in zip(run(scaled), run(unit), strict=True):
+            assert row.keys() == unit_row.keys()
+            for name, est in row.items():
+                factor = 1.0 if name.endswith("_ratio") else c
+                assert est.value == factor * unit_row[name].value, name
+                assert est.std_err == factor * unit_row[name].std_err, name
+
+
+@pytest.mark.parametrize("family", SCALED_FAMILIES)
+def test_columns_keep_their_per_trial_order(family):
+    # two columns of a row are summed in the same trial order, and rounded
+    # addition is monotone, so a per-trial order holds for their means bit
+    # for bit. Revenue is the price times the winner count, efficiency the
+    # winners' sequential sum, each winner at least the price: up to five
+    # winners that sum rounds to at least the product, but six tied values
+    # v can sum below fl(6v), so the revenue order is asserted for t <= 5.
+    dist, ks = SCALED_FAMILIES[family](1.0), [1, 2, 4, 9]
+    for est in efficiency_ratio(dist, ks, 40_000, seed=3):
+        assert est["eff_ema"].value >= est["eff_rma"].value
+        assert est["eff_ema"].value >= est["rev_ema"].value
+        assert est["eff_rma"].value >= est["rev_rma"].value
+        assert est["eff_ratio"].value <= 1.0
+    for t in (1, 2, 3, 5):
+        for est in paired_compare(dist, [(k, 0) for k in ks], t, 40_000, seed=3):
+            assert est["eff_ema"].value >= est["eff_rma"].value
+            assert est["diff"].value <= 0.0
+        for mech in ("ema", "rma"):
+            est = estimate_mechanism(dist, 9, t, mech, 40_000, seed=3)
+            assert est[f"eff_{mech}"].value >= est[f"rev_{mech}"].value, (t, mech)
+
+
 def test_paired_compare_nothing_excluded():
     # all mass above the reserve: both mechanisms sell to the same bidder
     g = GFamily(phi=0.0, r=1.0, eps=1e-6)
