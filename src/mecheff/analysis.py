@@ -27,7 +27,6 @@ whose terms are single-signed.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -110,8 +109,8 @@ def loss_numeric(
     Simpson tree, and `simpson_sweep` refines every k's tree together, one
     level at a time, so a sweep returns exactly the floats of its per-k
     calls, and those of `adaptive_simpson` on each k's integrand. Each
-    level evaluates the cdf (and for `density` the pdf) once on the array
-    of its distinct nodes; the powers of the weight are Python floats, as
+    level evaluates the cdf (and for `density` the pdf) in one elementwise
+    call on its nodes; the powers of the weight are Python floats, as
     numpy's array power can differ from `**` in the last bit.
 
     Raises DegenerateConditioning when the below-reserve event has
@@ -132,12 +131,11 @@ def loss_numeric(
     def integrand(idx, xs):
         # clamping at phi = F(r-) keeps an atom exactly at r out of the
         # endpoint samples, and on [0, r) the two agree
-        nodes, at = np.unique(xs, return_inverse=True)
-        weight = (np.minimum(dist.cdf(nodes), phi) / phi)[at]
+        weight = np.minimum(dist.cdf(xs), phi) / phi
         power = np.array([w**e for w, e in zip(weight.tolist(), exponents[idx].tolist())])
         if method == "cdf":
             return power
-        return xs * js[idx] * power * dist.pdf(nodes)[at] / phi
+        return xs * js[idx] * power * dist.pdf(xs) / phi
 
     areas = simpson_sweep(integrand, len(ks), 0.0, r, tol=_quadrature_tol(r), breakpoints=dist.kinks)
     losses = tuple(r - a for a in areas) if method == "cdf" else areas
@@ -295,9 +293,9 @@ def regular_counterexample_search(
     once the inequality holds it keeps holding as eps shrinks further.
 
     `m` is an int, giving one Counterexample, or a sequence of ints, giving
-    a tuple with one per m in order. Every m walks the same eps = r, r/2,
-    ..., so the call computes the loss once per distinct eps, remembered
-    only for the length of the call.
+    a tuple with one per m in order. One walk over eps = r, r/2, ...
+    serves every m: it computes the loss once per eps and settles each m
+    at its first success.
 
     Raises SearchExhausted below eps = 1e-15 (which would contradict the
     existence claim), for the first m in order that gets there.
@@ -308,18 +306,18 @@ def regular_counterexample_search(
         raise ValueError("k and m must be at least 1")
     if not (r > 0.0 and math.isfinite(r)):
         raise ValueError(f"r must be positive and finite, got {r}")
-    loss_at = functools.cache(lambda eps: loss_p_unconditional(eps, r, k))
-
-    def search(m):
-        eps = r
-        while eps > 1e-15:
-            loss_p, gain_p = loss_at(eps), gain(r / (r + eps), r, m)
+    pending, found, eps = set(ms), {}, r
+    while pending and eps > 1e-15:
+        loss_p = loss_p_unconditional(eps, r, k)
+        for j in list(pending):
+            gain_p = gain(r / (r + eps), r, j)
             if loss_p - gain_p > margin:
-                return Counterexample(eps, loss_p, gain_p)
-            eps *= 0.5
-        raise SearchExhausted(
-            f"no eps above 1e-15 with Loss > Gain + {margin} for k={k}, m={m}, r={r}"
-        )
-
-    found = tuple(search(j) for j in ms)
-    return found[0] if scalar else found
+                found[j] = Counterexample(eps, loss_p, gain_p)
+                pending.remove(j)
+        eps *= 0.5
+    for j in ms:
+        if j in pending:
+            raise SearchExhausted(
+                f"no eps above 1e-15 with Loss > Gain + {margin} for k={k}, m={j}, r={r}"
+            )
+    return found[ms[0]] if scalar else tuple(found[j] for j in ms)

@@ -392,8 +392,7 @@ def virtual_value(dist: ValueDistribution, x):
     h = dist.hazard(x)
     if np.any(h <= 0.0):
         raise DomainError("hazard is zero; virtual value is -inf")
-    with np.errstate(divide="ignore"):
-        return x - 1.0 / h
+    return x - 1.0 / h
 
 
 def _check_grid(grid_size) -> int:

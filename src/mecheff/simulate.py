@@ -184,42 +184,40 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
     n_batches = -(-n_trials // BATCH_TRIALS)
     widest = max(width for row in rows for width in row.values())
     reserve = dist.reserve if any(_COLUMNS[name][1] for row in rows for name in row) else 0.0
-    reserve_and_stat = {name: (reserve if rma else 0.0, stat) for name, (stat, rma) in _COLUMNS.items()}
-    declared = [[(width, *reserve_and_stat[name]) for name, width in row.items()] for row in rows]
+    plans = []  # per row: the row, its widest width, whether it reads revenue, its pricings
+    for row in rows:
+        pricings = {}  # (width, reserve): [(column, statistic), ...], in declared order
+        for i, (name, width) in enumerate(row.items()):
+            stat, rma = _COLUMNS[name]
+            pricings.setdefault((width, reserve if rma else 0.0), []).append((i, stat))
+        plans.append((row, max(row.values()), any(_COLUMNS[name][0] for name in row), pricings))
+    # the row buffer's size in rows of a batch's trials, at the largest row, so
+    # it grows at most once a call: `_select`'s copy of the widest width, spare
+    # row and registers, or after it the statistics and `_second_price`'s rows
+    buffer_rows = max(max(n + 1 + t, len(row) + 2) + revenue for row, n, revenue, _ in plans)
 
-    def buffer_rows(row):
-        # the row buffer's size in rows of a batch's trials: `_select`'s copy
-        # of the widest width, spare row and registers, or after it the
-        # statistics and `_second_price`'s rows
-        revenue = any(stat for _, _, stat in row)
-        return max(max(w for w, _, _ in row) + 1 + t, len(row) + 2) + revenue
-
-    def columns(flat, trials, row, buffer):
+    def columns(flat, trials, plan, buffer):
         # a frame of its own: the selections are freed on return, before the
         # moments are taken
-        widths = {w for w, _, _ in row}
-        n = max(widths)
-        revenue = any(stat for _, _, stat in row)
-        stacks = _select(flat[: trials * n].reshape(trials, n), t + revenue, dist.quantile, widths, buffer)
+        row, n, revenue, pricings = plan
+        stacks = _select(flat[: trials * n].reshape(trials, n), t + revenue, dist.quantile, row.values(), buffer)
         # `_select` is done with the buffer: the statistics take it over
         stats = buffer[: len(row) * trials].reshape(trials, len(row))
         out = buffer[len(row) * trials : (len(row) + 2 + revenue) * trials].reshape(2 + revenue, trials)
-        for w, r in dict.fromkeys((w, r) for w, r, _ in row):  # distinct, in declared order
+        for (w, r), copies in pricings.items():
             priced = _second_price(stacks[w], t, r, revenue, out)
-            for i, column in enumerate(row):
-                if column[:2] == (w, r):  # computed contiguously, then copied into its column
-                    stats[:, i] = priced[column[2]]
+            for i, stat in copies:  # computed contiguously, then copied into its column
+                stats[:, i] = priced[stat]
         return stats
 
     def one(b):
         trials = min(BATCH_TRIALS, n_trials - b * BATCH_TRIALS)
         size = trials * widest
         flat = _batch_uniforms(seed, b, size, out=_workspace("draw", size))
-        # one buffer for every row, at the largest, so it grows at most once a call
-        buffer = _workspace("row", max(map(buffer_rows, declared)) * trials)
+        buffer = _workspace("row", buffer_rows * trials)
         out = []
-        for row in declared:
-            stats = columns(flat, trials, row, buffer)
+        for plan in plans:
+            stats = columns(flat, trials, plan, buffer)
             # stats.sum(axis=0)'s trial-order sum, without its row-at-a-time loop;
             # a square past float64's range is refused by name in `_estimate`
             with np.errstate(over="ignore"):
@@ -281,13 +279,14 @@ def _select(u, depth, quantile, widths, buffer):
     min(depth, w) highest values, highest first, stacked as rows, so value
     i of every trial is the contiguous row `values[i]`.
 
-    `widths` are distinct; the result maps each to its stack. One pass over
-    the columns keeps each row's top `depth` uniforms in registers, highest
-    first, by compare-exchange with `np.maximum` and `np.minimum` (Knuth,
-    TAOCP vol. 3, 5.3.4), which select exactly the values a sort would: d
-    registers take 2d-1 calls per column, and the top registers hold the
-    same bits at any depth. `quantile` is nondecreasing, so it maps the
-    registers onto the values' top `depth`, and only those rows are mapped.
+    `widths` may repeat; the result maps each distinct one to its stack.
+    One pass over the columns keeps each row's top `depth` uniforms in
+    registers, highest first, by compare-exchange with `np.maximum` and
+    `np.minimum` (Knuth, TAOCP vol. 3, 5.3.4), which select exactly the
+    values a sort would: d registers take 2d-1 calls per column, and the
+    top registers hold the same bits at any depth. `quantile` is
+    nondecreasing, so it maps the registers onto the values' top `depth`,
+    and only those rows are mapped.
 
     A call allocates nothing but what `quantile` returns. It works in
     `buffer`, a float64 array of at least n + 1 + depth rows of `len(u)`

@@ -200,35 +200,36 @@ def test_loss_sweep_degenerate_raises_once():
         loss_numeric(GFamily(phi=0.0, r=1.0), range(1, 65))
 
 
-def test_loss_sweep_evaluates_each_node_once_per_call(monkeypatch):
-    # the sweep hands the cdf each level's distinct nodes once, so it reads
-    # exactly as many points as the per-k recursions visit distinct nodes
-    # (793 here on a 2-CPU AVX-512 machine); G's phi is its own field, so
-    # no F(r) is read; a memo that outlived a call would make a repeated
-    # sweep (as the benchmark's passes are) nearly free
+def test_loss_sweep_reads_the_cdf_once_per_level_on_its_nodes(monkeypatch):
+    # the sweep's integrand hands the cdf exactly the nodes it is given, in
+    # one call per level; G's phi is its own field, so no F(r) is read; a
+    # memo that outlived a call would make a repeated sweep (as the
+    # benchmark's passes are) nearly free
     dist, ks = GFamily(phi=0.4, r=1.5), range(1, 65)
-    phi = cdf_left(dist, dist.r)
-    nodes = set()
+    levels, points = [], []
+    sweep, cdf = analysis.simpson_sweep, GFamily.cdf
 
-    def weight(x):
-        nodes.add(x)
-        return min(float(dist.cdf(x)), phi) / phi
+    def recording_sweep(f, *args, **kwargs):
+        def integrand(idx, xs):
+            levels.append(xs.copy())
+            return f(idx, xs)
 
-    for k in ks:
-        adaptive_simpson(lambda x: weight(x) ** k, 0.0, dist.r, 1e-10 * dist.r, [dist.t_knot])
-    points = []
-    cdf = GFamily.cdf
+        return sweep(integrand, *args, **kwargs)
 
     def counting_cdf(self, x):
-        points.append(np.size(x))
+        points.append(np.array(x, dtype=np.float64))
         return cdf(self, x)
 
+    monkeypatch.setattr(analysis, "simpson_sweep", recording_sweep)
     monkeypatch.setattr(GFamily, "cdf", counting_cdf)
     first = loss_numeric(dist, ks)
-    assert sum(points) == len(nodes)
+    assert len(points) == len(levels) > 1
+    for read, given_nodes in zip(points, levels):
+        assert np.array_equal(read, given_nodes)
+    n_points = sum(map(np.size, points))
     points.clear()
     assert loss_numeric(dist, ks) == first
-    assert sum(points) == len(nodes)
+    assert sum(map(np.size, points)) == n_points
 
 
 def test_loss_closed_form_examples():

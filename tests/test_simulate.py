@@ -195,26 +195,48 @@ SCALED_FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("j", [-7, 3, 20])
-@pytest.mark.parametrize("family", SCALED_FAMILIES)
-def test_estimates_scale_exactly_with_the_values(family, j):
+def assert_scales_exactly(family, j, runs):
     # c = 2**j multiplies every value and every reserve exactly, so every
     # mean and standard error is c times the unit family's, bit for bit, and
     # every ratio keeps its bits
     c = 2.0**j
     unit, scaled = SCALED_FAMILIES[family](1.0), SCALED_FAMILIES[family](c)
     assert scaled.reserve == c * unit.reserve
-    for run in (
-        lambda dist: paired_compare(dist, [(3, 2), (5, 0), (2, 4)], 2, 40_000, seed=5),
-        lambda dist: revenue_compare_bk(dist, [1, 3, 6], 40_000, seed=5),
-        lambda dist: efficiency_ratio(dist, [1, 3, 6], 40_000, seed=5),
-    ):
+    for run in runs:
         for row, unit_row in zip(run(scaled), run(unit), strict=True):
             assert row.keys() == unit_row.keys()
             for name, est in row.items():
                 factor = 1.0 if name.endswith("_ratio") else c
                 assert est.value == factor * unit_row[name].value, name
                 assert est.std_err == factor * unit_row[name].std_err, name
+
+
+@pytest.mark.parametrize("j", [-7, 3, 20])
+@pytest.mark.parametrize("family", SCALED_FAMILIES)
+def test_estimates_scale_exactly_with_the_values(family, j):
+    runs = [
+        lambda dist: paired_compare(dist, [(3, 2), (5, 0), (2, 4)], 2, 40_000, seed=5),
+        lambda dist: revenue_compare_bk(dist, [1, 3, 6], 40_000, seed=5),
+        lambda dist: efficiency_ratio(dist, [1, 3, 6], 40_000, seed=5),
+    ]
+    assert_scales_exactly(family, j, runs)
+
+
+@given(
+    st.sampled_from(list(SCALED_FAMILIES)),
+    st.integers(-60, 60),
+    st.integers(1, 5),
+    st.integers(1, 11),
+    st.integers(0, 7),
+)
+@settings(max_examples=120, deadline=None)
+def test_estimates_scale_exactly_over_j_t_and_widths(family, j, t, k, extra):
+    runs = [
+        lambda dist: paired_compare(dist, [(k, extra)], t, 3_000, seed=5),
+        lambda dist: revenue_compare_bk(dist, [k], 3_000, seed=5),
+        lambda dist: efficiency_ratio(dist, [k], 3_000, seed=5),
+    ]
+    assert_scales_exactly(family, j, runs)
 
 
 @pytest.mark.parametrize("family", SCALED_FAMILIES)
