@@ -48,8 +48,9 @@ not have), and a cap of 1 runs the batches inline, in order, on the
 calling thread. Each thread that runs batches keeps a workspace of two
 64-byte-aligned buffers, each grown to the largest size asked of it and
 then reused: the batch's draw, and the row buffer, which each row in turn
-fills with `_select`'s transposed copy, spare row and register stack, and
-then `_second_price`'s rows and the matrix of its columns. So a warm
+fills with `_select`'s registers, tile of copied columns, spare row and
+register stack, O(t) rows whatever the row's width, and then
+`_second_price`'s rows and the matrix of its columns. So a warm
 batch's only large allocations are what `quantile` returns, and no row
 temporary goes back to the allocator to be fetched again.
 
@@ -68,12 +69,15 @@ import os
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .distributions import ValueDistribution
 
 BATCH_TRIALS = 1 << 14
+# columns `_select` copies at a time: one 64-byte cache line of float64s per trial
+_TILE = 8
 
 # name: (statistic, 0 efficiency or 1 revenue; priced at the monopoly reserve)
 _COLUMNS = {"eff_ema": (0, False), "eff_rma": (0, True), "rev_ema": (1, False), "rev_rma": (1, True)}
@@ -192,9 +196,9 @@ def _estimates(dist, t, rows, n_trials, seed, diffs=(), ratios=()):
             pricings.setdefault((width, reserve if rma else 0.0), []).append((i, stat))
         plans.append((row, max(row.values()), any(_COLUMNS[name][0] for name in row), pricings))
     # the row buffer's size in rows of a batch's trials, at the largest row, so
-    # it grows at most once a call: `_select`'s copy of the widest width, spare
-    # row and registers, or after it the statistics and `_second_price`'s rows
-    buffer_rows = max(max(n + 1 + t, len(row) + 2) + revenue for row, n, revenue, _ in plans)
+    # it grows at most once a call: `_select`'s rows, whatever the width, or
+    # after them the statistics and `_second_price`'s rows
+    buffer_rows = max(max(_select_rows(t + revenue), len(row) + 2 + revenue) for row, _, revenue, _ in plans)
 
     def columns(flat, trials, plan, buffer):
         # a frame of its own: the selections are freed on return, before the
@@ -274,6 +278,12 @@ def _ratio(s1, s2, n, num, den, name) -> Estimate:
     return Estimate(value=float(ratio), std_err=math.sqrt(max(0.0, var_ratio)))
 
 
+def _select_rows(depth):
+    """The rows of `len(u)` float64s `_select` works in at `depth`, for a
+    `u` of any width: the registers, one tile, a spare row and a stack."""
+    return 2 * depth + _TILE + 1
+
+
 def _select(u, depth, quantile, widths, buffer):
     """Per prefix `u[:, :w]` of the uniforms, its value stack: each row's
     min(depth, w) highest values, highest first, stacked as rows, so value
@@ -288,25 +298,39 @@ def _select(u, depth, quantile, widths, buffer):
     nondecreasing, so it maps the registers onto the values' top `depth`,
     and only those rows are mapped.
 
-    A call allocates nothing but what `quantile` returns. It works in
-    `buffer`, a float64 array of at least n + 1 + depth rows of `len(u)`
-    for the n columns of `u`: `_estimates` passes this thread's row buffer,
-    which it then hands to the row's statistics. The pass walks a
-    transposed copy of `u` there, so `u` is never written. Each
-    compare-exchange writes the larger value into a spare row, which then
-    trades places with the register it replaces, and the smaller back into
-    the incoming column's own row; a new register is that row. At each
-    width the registers are stacked after the spare row, and `quantile`
-    maps that stack to the width's values. A `quantile` may return its
-    input, and then the width gets a copy: no stack aliases `buffer`, which
-    the next width and the buffer's next user overwrite.
+    A call allocates nothing but what `quantile` returns, and `u` is never
+    written. It works in `buffer`, a float64 array of at least
+    `_select_rows(depth)` rows of `len(u)`, whatever the width of `u`:
+    `_estimates` passes this thread's row buffer, which it then hands to
+    the row's statistics. One register only keeps the larger value, so at
+    depth 1 it starts as a copy of the first column and takes each later
+    one straight from `u`. A deeper pass copies `u` transposed: its first
+    depth + `_TILE` columns into the register rows and the tile after them,
+    then each later `_TILE` columns into the tile. A spare row and the
+    stack follow that first copy. Each compare-exchange writes the larger
+    value into the spare row, which then trades places with the register
+    it replaces, and the smaller back into the incoming column's own row;
+    a new register is that row, one of the first `depth`. At each width
+    the registers are stacked, and `quantile` maps that stack to the
+    width's values. A `quantile` may return its input, and then the width
+    gets a copy: no stack aliases `buffer`, which the next width and the
+    buffer's next user overwrite.
     """
     trials, n = u.shape
+    rows = buffer[: _select_rows(depth) * trials].reshape(_select_rows(depth), trials)
+    first = 1 if depth == 1 else min(n, depth + _TILE)
+    np.copyto(rows[:first], u[:, :first].T)
+    spare, stack = rows[first], rows[first + 1 :]
     regs, stacks = [], {}
-    columns = buffer[: n * trials].reshape(n, trials)
-    spare = buffer[n * trials : (n + 1) * trials]
-    np.copyto(columns, u.T)
-    for j, x in enumerate(columns, 1):
+
+    def tiles():  # each later `_TILE` columns, copied into the rows after the registers
+        for s in range(first, n, _TILE):
+            tile = rows[depth : depth + min(_TILE, n - s)]
+            np.copyto(tile, u[:, s : s + len(tile)].T)
+            yield from tile
+
+    # the one register at depth 1 only reads a later column, so it reads it in place
+    for j, x in enumerate(chain(rows[:first], u.T[1:] if depth == 1 else tiles()), 1):
         for i, reg in enumerate(regs):
             if i == depth - 1:  # the last register only keeps the larger
                 np.maximum(reg, x, out=reg)
@@ -317,8 +341,7 @@ def _select(u, depth, quantile, widths, buffer):
         else:  # fewer columns seen than registers: x is the lowest so far
             regs.append(x)
         if j in widths:
-            stack = buffer[(n + 1) * trials : (n + 1 + len(regs)) * trials].reshape(len(regs), trials)
-            values = quantile(np.stack(regs, out=stack))
+            values = quantile(np.stack(regs, out=stack[: len(regs)]))
             stacks[j] = values.copy() if np.may_share_memory(values, buffer) else values
     return stacks
 

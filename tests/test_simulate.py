@@ -31,6 +31,7 @@ from mecheff.simulate import (
     _batch_uniforms,
     _second_price,
     _select,
+    _select_rows,
     efficiency_ratio,
     estimate_mechanism,
     paired_compare,
@@ -389,9 +390,9 @@ def tie_heavy_batch(draw):
 
 
 def row_buffer(u, depth):
-    """A buffer of the n + 1 + depth rows `_select` works in for a matrix `u`
-    of n columns, filled with NaN."""
-    return np.full((u.shape[1] + 1 + depth) * len(u), np.nan)
+    """A buffer of the `_select_rows(depth)` rows `_select` works in for a
+    matrix `u` of any width, filled with NaN."""
+    return np.full(_select_rows(depth) * len(u), np.nan)
 
 
 @given(tie_heavy_batch())
@@ -524,42 +525,55 @@ def test_uniform_space_selection_matches_sorted_values(case):
     assert np.array_equal(stack[t:].T, values[:, ::-1][:, t : t + 1])
 
 
+def tile_edges(depths, n):
+    """The widths up to n on both sides of the edges of `_select`'s first
+    copy and its next tile, at each of `depths`."""
+    return sorted({d + e for d in depths for e in (7, 8, 9, 17) if d + e <= n})
+
+
 @st.composite
 def prefix_widths(draw):
-    """(dist, u, t, widths): a `uniforms_near_branches` case with t in 1..5
-    and distinct prefix widths."""
+    """(dist, u, t, widths): a `uniforms_near_branches` case with t in 1..9
+    and distinct prefix widths, often on a tile edge at depth t+1."""
     dist, u, _ = draw(uniforms_near_branches())
-    width = st.integers(1, u.shape[1])
-    return dist, u, draw(st.integers(1, 5)), draw(st.sets(width, min_size=1, max_size=6))
+    t, n = draw(st.integers(1, 9)), u.shape[1]
+    width = st.integers(1, n) | st.sampled_from(tile_edges([t + 1], n) or [n])
+    return dist, u, t, draw(st.sets(width, min_size=1, max_size=6))
 
 
 @given(prefix_widths())
 @settings(max_examples=300, deadline=None)
 def test_prefix_selection_equals_selecting_the_prefix(case):
-    # one pass over the columns yields every prefix's selection, bit for bit
+    # one pass over the columns yields every prefix's selection, bit for bit,
+    # from the one register read in place, on the prefix's strided view too,
+    # and from the tiled copy
     dist, u, t, widths = case
     buffer = row_buffer(u, t + 1)
-    stacks = _select(u, t + 1, dist.quantile, widths, buffer)
-    assert stacks.keys() == widths
-    for w, stack in stacks.items():
-        [alone] = _select(u[:, :w], t + 1, dist.quantile, {w}, buffer).values()
-        assert stack.shape == alone.shape == (min(w, t + 1), len(u))
-        assert np.array_equal(stack[:t], alone[:t])
-        assert np.array_equal(stack[t:], alone[t:])
+    for depth in (1, t + 1):
+        stacks = _select(u, depth, dist.quantile, widths, buffer)
+        assert stacks.keys() == widths
+        for w, stack in stacks.items():
+            [alone] = _select(u[:, :w], depth, dist.quantile, {w}, buffer).values()
+            assert stack.shape == alone.shape == (min(w, depth), len(u))
+            assert np.array_equal(stack[:t], alone[:t])
+            assert np.array_equal(stack[t:], alone[t:])
 
 
 @st.composite
 def selection_case(draw):
     """(u, t, widths): uniforms that are free draws or the ulps around the
     G family's branch point F(r-) = 1-1/e, in C or Fortran order, with t in
-    1..6 and distinct prefix widths."""
+    1..9, often at a width on a tile edge at depth t or t+1, and distinct
+    prefix widths."""
     near = branch_ulps(GFamily(phi=ALPHA, r=1.0)).tolist()
-    n, t, rows = draw(st.integers(1, 24)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    t, rows = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    n = draw(st.integers(1, 24) | st.sampled_from(tile_edges([t, t + 1], 27)))
     entry = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(near)
     u = np.array(draw(st.lists(entry, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
     if draw(st.booleans()):
         u = np.asfortranarray(u)  # u.T is contiguous: a pass over it in place would write u
-    return u, t, draw(st.sets(st.integers(1, n), min_size=1, max_size=6))
+    width = st.integers(1, n) | st.sampled_from(tile_edges([t, t + 1], n) or [n])
+    return u, t, draw(st.sets(width, min_size=1, max_size=6))
 
 
 @pytest.mark.parametrize("quantile", [lambda v: v, Exponential(1.0).quantile], ids=["identity", "exp"])
@@ -769,6 +783,18 @@ def test_pools_and_workspaces_are_reused_bit_for_bit(monkeypatch):
             assert address == held_address
         else:
             largest[thread] = size, address
+
+
+def test_row_buffer_does_not_grow_with_the_width(monkeypatch):
+    # a row's selection works in O(depth) rows of the batch, so 220 columns at
+    # depth 2 ask no more of a fresh workspace than 5 do: 2 * 2 + 9 rows
+    monkeypatch.setenv("MECH_EFF_THREADS", "1")
+    held = []
+    for pairs in ([(3, 2)], [(200, 20)]):
+        monkeypatch.setattr(simulate, "_WORKSPACE", threading.local())
+        paired_compare(Exponential(1.0), pairs, 2, 2 * BATCH_TRIALS, 5)
+        held.append(vars(simulate._WORKSPACE)["row"].size // BATCH_TRIALS)
+    assert held == [13, 13]
 
 
 def test_concurrent_callers_share_the_pool(monkeypatch):
